@@ -44,9 +44,8 @@ void NfInstance::clear_egress(nnf::ContextId ctx) {
 
 void NfInstance::inject(nnf::ContextId ctx, nnf::NfPortIndex port,
                         packet::PacketBuffer&& frame) {
-  // Burst-of-1 over the one packet-ingress contract. NetworkFunction's
-  // default process_burst() delegates to per-frame process(), so NFs
-  // without a dedicated burst path behave exactly as before.
+  // Burst-of-1 over the one packet-ingress contract: the function's only
+  // datapath entry point is process_burst().
   packet::PacketBurst single;
   single.push_back(std::move(frame));
   inject_burst(ctx, port, std::move(single));
@@ -84,7 +83,7 @@ void NfInstance::dispatch_outputs(nnf::ContextId ctx,
       burst_egress != burst_egress_.end() &&
       (prefer_burst || egress == egress_.end());
   if (use_burst) {
-    packet::BurstGroups<nnf::NfPortIndex> groups;
+    packet::BurstGroups<nnf::NfPortIndex> groups(outputs.size());
     for (nnf::NfOutput& output : outputs) {
       groups.add(output.port, std::move(output.frame));
     }

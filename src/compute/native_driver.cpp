@@ -107,7 +107,7 @@ Result<std::shared_ptr<NativeDriver::Shared>> NativeDriver::create_instance(
     shared->adaptation->set_burst_transmit(
         [raw](packet::PacketBurst&& burst) {
           packet::BurstGroups<std::pair<nfswitch::Lsi*, nfswitch::PortId>>
-              groups;
+              groups(burst.size());
           for (packet::PacketBuffer& frame : burst) {
             if (auto dest = route_adaptation_egress(raw->routes, frame)) {
               groups.add(*dest, std::move(frame));

@@ -48,6 +48,7 @@ DatapathExecutor::DatapathExecutor(DatapathExecutorConfig config,
   config_.workers = std::clamp<std::size_t>(config_.workers, 1, kMaxWorkers);
   config_.drain_batch = std::max<std::size_t>(config_.drain_batch, 1);
   workers_.reserve(config_.workers);
+  staged_.resize(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
     worker->ingress =
@@ -80,8 +81,9 @@ DatapathExecutor::DatapathExecutor(DatapathExecutorConfig config,
 DatapathExecutor::~DatapathExecutor() { stop(); }
 
 bool DatapathExecutor::should_shed(Worker& worker,
-                                   const packet::PacketBuffer& frame) {
-  const std::size_t occupancy = worker.ingress->producer_size();
+                                   const packet::PacketBuffer& frame,
+                                   std::size_t staged) {
+  const std::size_t occupancy = worker.ingress->producer_size() + staged;
   bool shedding = worker.shedding.load();
   if (shedding) {
     if (occupancy <= shed_low_) {
@@ -108,55 +110,64 @@ bool DatapathExecutor::should_shed(Worker& worker,
 
 std::size_t DatapathExecutor::submit_burst(std::uint32_t tag,
                                            packet::PacketBurst&& burst) {
-  std::size_t enqueued = 0;
+  // Stage each shard's frames, then publish them with one ring store and
+  // one doorbell per shard: a worker sees a shard's share of a burst at
+  // once, never a prefix. Shares of drain_batch frames or more publish in
+  // drain_batch chunks, so a huge submit still overlaps with the workers.
   const std::size_t n = worker_count();
+  std::size_t enqueued = 0;
   for (packet::PacketBuffer& frame : burst) {
     const std::size_t shard = shard_for(rss_hash_frame(frame.data()), n);
-    Worker& worker = *workers_[shard];
-    if (config_.shed_enabled && should_shed(worker, frame)) {
+    std::vector<WorkItem>& staged = staged_[shard];
+    if (config_.shed_enabled &&
+        should_shed(*workers_[shard], frame, staged.size())) {
       continue;  // frame dies with the burst; its segment recycles
     }
-    inflight_.fetch_add(1, std::memory_order_relaxed);
-    WorkItem item{tag, std::move(frame)};
-    bool pushed = true;
-    while (!worker.ingress->push(std::move(item))) {
-      if (!config_.block_on_full ||
-          !running_.load(std::memory_order_acquire)) {
-        inflight_.fetch_sub(1, std::memory_order_relaxed);
-        worker.stats.ingress_drops += 1;
-        pushed = false;
-        break;
-      }
-      ring_doorbell(shard);
-      cpu_relax();
-    }
-    if (pushed) {
-      ring_doorbell(shard);
-      ++enqueued;
+    staged.push_back(WorkItem{tag, std::move(frame)});
+    if (staged.size() >= config_.drain_batch) {
+      enqueued += enqueue(shard, staged);
     }
   }
   burst.clear();
+  for (std::size_t shard = 0; shard < n; ++shard) {
+    enqueued += enqueue(shard, staged_[shard]);
+  }
   return enqueued;
 }
 
 bool DatapathExecutor::submit_to(std::size_t worker, std::uint32_t tag,
                                  packet::PacketBuffer&& frame) {
   if (worker >= worker_count()) return false;
-  Worker& target = *workers_[worker];
-  if (config_.shed_enabled && should_shed(target, frame)) return false;
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  WorkItem item{tag, std::move(frame)};
-  while (!target.ingress->push(std::move(item))) {
+  if (config_.shed_enabled && should_shed(*workers_[worker], frame, 0)) {
+    return false;
+  }
+  staged_[worker].push_back(WorkItem{tag, std::move(frame)});
+  return enqueue(worker, staged_[worker]) == 1;
+}
+
+std::size_t DatapathExecutor::enqueue(std::size_t shard,
+                                      std::vector<WorkItem>& items) {
+  if (items.empty()) return 0;
+  Worker& worker = *workers_[shard];
+  // In flight before the worker can see (and retire) any of them.
+  inflight_.fetch_add(items.size(), std::memory_order_relaxed);
+  std::size_t pushed = 0;
+  while (true) {
+    pushed += worker.ingress->push_batch(items.data() + pushed,
+                                         items.size() - pushed);
+    if (pushed == items.size()) break;
     if (!config_.block_on_full || !running_.load(std::memory_order_acquire)) {
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
-      target.stats.ingress_drops += 1;
-      return false;
+      const std::size_t dropped = items.size() - pushed;
+      inflight_.fetch_sub(dropped, std::memory_order_relaxed);
+      worker.stats.ingress_drops += dropped;
+      break;
     }
-    ring_doorbell(worker);
+    ring_doorbell(shard);
     cpu_relax();
   }
-  ring_doorbell(worker);
-  return true;
+  if (pushed > 0) ring_doorbell(shard);
+  items.clear();
+  return pushed;
 }
 
 bool DatapathExecutor::push_handoff(std::size_t from, std::size_t to,
@@ -202,25 +213,34 @@ void DatapathExecutor::ring_doorbell(std::size_t worker) {
 }
 
 std::size_t DatapathExecutor::drain_ring(WorkerContext& ctx,
-                                         SpscRing<WorkItem>& ring) {
-  std::vector<WorkItem> items;
-  items.reserve(config_.drain_batch);
+                                         SpscRing<WorkItem>& ring,
+                                         bool handoff, DrainScratch& scratch) {
+  std::vector<WorkItem>& items = scratch.items;
+  items.clear();
   if (ring.pop_batch(items, config_.drain_batch) == 0) return 0;
   const std::size_t processed = items.size();
   // Deliver contiguous same-tag runs as one burst; the common case is a
   // whole batch sharing one ingress tag.
+  packet::PacketBurst& group = scratch.group;
   std::size_t begin = 0;
   while (begin < items.size()) {
     std::size_t end = begin + 1;
     while (end < items.size() && items[end].tag == items[begin].tag) ++end;
-    packet::PacketBurst group;
-    group.reserve(end - begin);
+    group.clear();
+    group.reserve(end - begin);  // no-op once warm
     for (std::size_t i = begin; i < end; ++i) {
       group.push_back(std::move(items[i].frame));
     }
     pipeline_(ctx, items[begin].tag, std::move(group));
     begin = end;
   }
+  items.clear();
+  // Credit the counters before the frames leave inflight_: drain()
+  // returns once inflight_ reaches zero, and the counters must already
+  // be exact then.
+  LiveStats& stats = workers_[ctx.index()]->stats;
+  stats.processed += processed;
+  if (handoff) stats.handoff_in += processed;
   inflight_.fetch_sub(processed, std::memory_order_release);
   return processed;
 }
@@ -248,14 +268,17 @@ void DatapathExecutor::run_worker(std::size_t index,
     return self.generation.load(std::memory_order_acquire) != my_generation;
   };
 
+  // This thread's own drain scratch: reused by every batch, and never
+  // shared with a replacement thread after a watchdog restart.
+  DrainScratch scratch;
+  scratch.items.reserve(config_.drain_batch);
+
   auto drain_all = [&]() -> std::size_t {
     if (superseded()) return 0;
-    std::size_t processed = drain_ring(ctx, *self.ingress);
+    std::size_t processed = drain_ring(ctx, *self.ingress, false, scratch);
     for (std::size_t from = 0; from < worker_count(); ++from) {
       if (superseded()) return processed;
-      const std::size_t n = drain_ring(ctx, *self.handoff[from]);
-      self.stats.handoff_in += n;
-      processed += n;
+      processed += drain_ring(ctx, *self.handoff[from], true, scratch);
     }
     return processed;
   };
@@ -272,9 +295,7 @@ void DatapathExecutor::run_worker(std::size_t index,
       });
       if (superseded()) break;
     }
-    const std::size_t processed = drain_all();
-    if (processed > 0) {
-      self.stats.processed += processed;
+    if (drain_all() > 0) {
       idle_spins = 0;
       continue;
     }
@@ -304,11 +325,8 @@ void DatapathExecutor::run_worker(std::size_t index,
   }
   if (superseded()) return;  // the new generation owns the rings
   // Final drain so stop() never strands frames in rings.
-  std::size_t processed;
-  do {
-    processed = drain_all();
-    self.stats.processed += processed;
-  } while (processed > 0);
+  while (drain_all() > 0) {
+  }
 }
 
 void DatapathExecutor::note_stall(std::size_t worker) {

@@ -3,8 +3,9 @@
 //
 // Ingress: one control thread (the bench main thread, the simulator
 // thread, ...) calls submit_burst(); each frame's flow tuple is RSS-
-// hashed to a worker and pushed onto that worker's SPSC ingress ring —
-// single producer (the control thread), single consumer (the worker).
+// hashed to a worker, and each worker's share of the burst is published
+// onto its SPSC ingress ring in one batch — single producer (the control
+// thread), single consumer (the worker).
 // Workers drain their rings in batches and run the user pipeline —
 // classify → NNF → crypto — to completion on their own core, identified
 // by a thread-local worker slot (see worker_slot.hpp) that per-worker
@@ -227,21 +228,37 @@ class DatapathExecutor {
     util::Relaxed<bool> shedding{false};
   };
 
+  /// One worker thread's reusable drain buffers.
+  struct DrainScratch {
+    std::vector<WorkItem> items;
+    packet::PacketBurst group;
+  };
+
   void run_worker(std::size_t index, std::uint32_t my_generation);
   /// Drains up to drain_batch items from `ring`, runs the pipeline on
-  /// them grouped by tag, and credits `stats_processed`. Returns the
-  /// number of frames processed.
-  std::size_t drain_ring(WorkerContext& ctx, SpscRing<WorkItem>& ring);
+  /// them grouped by tag, and credits the worker's `processed` (and
+  /// `handoff_in` for a handoff ring) before releasing them from
+  /// inflight_. Returns the number of frames processed.
+  std::size_t drain_ring(WorkerContext& ctx, SpscRing<WorkItem>& ring,
+                         bool handoff, DrainScratch& scratch);
+  /// Publishes `items` (emptied on return) to `shard`'s ingress ring in
+  /// as few batches as the ring allows, with one doorbell; spins or
+  /// drops on a full ring per block_on_full. Returns frames enqueued.
+  std::size_t enqueue(std::size_t shard, std::vector<WorkItem>& items);
   void ring_doorbell(std::size_t worker);
   bool push_handoff(std::size_t from, std::size_t to, std::uint32_t tag,
                     packet::PacketBuffer&& frame);
-  /// True when shedding says to drop `frame` for `worker` right now;
-  /// counts the shed. Called only from the submit thread.
-  bool should_shed(Worker& worker, const packet::PacketBuffer& frame);
+  /// True when shedding says to drop `frame` for `worker` right now,
+  /// with `staged` frames of the current burst not yet published to its
+  /// ring; counts the shed. Called only from the submit thread.
+  bool should_shed(Worker& worker, const packet::PacketBuffer& frame,
+                   std::size_t staged);
 
   DatapathExecutorConfig config_;
   Pipeline pipeline_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Submit-thread scratch: the current burst's frames per shard.
+  std::vector<std::vector<WorkItem>> staged_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> inflight_{0};
   /// Resolved shedding watermarks (config zeros replaced by defaults).

@@ -71,11 +71,12 @@ void AdaptationLayer::receive(sim::SimTime now,
 
 void AdaptationLayer::receive_burst(sim::SimTime now,
                                     packet::PacketBurst&& burst) {
-  stats_.in_frames += burst.size();
+  const std::size_t n = burst.size();
+  stats_.in_frames += n;
 
   // Demultiplex on the mark and regroup per internal path, keeping
   // same-path frames in arrival order.
-  packet::BurstGroups<std::pair<ContextId, NfPortIndex>> groups;
+  packet::BurstGroups<std::pair<ContextId, NfPortIndex>> groups(n);
   for (packet::PacketBuffer& frame : burst) {
     auto eth = packet::parse_ethernet(frame.data());
     if (!eth || !eth->vlan.has_value()) {
@@ -95,6 +96,7 @@ void AdaptationLayer::receive_burst(sim::SimTime now,
   // One process_burst per path; outputs of the whole ingress burst leave
   // as one re-marked egress burst (or per frame without a burst transmit).
   packet::PacketBurst egress;
+  if (burst_tx_) egress.reserve(n);
   for (auto& [path, group] : groups) {
     const auto [ctx, port] = path;
     std::vector<NfOutput> outputs =

@@ -58,8 +58,7 @@ class AdaptationLayer {
   /// marks and regrouped per (context, port) — order within a group is
   /// preserved — then each group is ONE process_burst call into the NF,
   /// so a single-interface NNF gets the same per-burst amortisation as a
-  /// dedicated attachment. Per-packet NF subclasses are unaffected: the
-  /// NetworkFunction::process_burst shim unrolls to N process() calls.
+  /// dedicated attachment.
   void receive_burst(sim::SimTime now, packet::PacketBurst&& burst);
 
   [[nodiscard]] const AdaptationStats& stats() const { return stats_; }

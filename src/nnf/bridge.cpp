@@ -24,56 +24,63 @@ util::Status Bridge::configure(ContextId ctx, const NfConfig& config) {
   return util::Status::ok();
 }
 
-std::vector<NfOutput> Bridge::process(ContextId ctx, NfPortIndex in_port,
-                                      sim::SimTime now,
-                                      packet::PacketBuffer&& frame) {
+std::vector<NfOutput> Bridge::process_burst(ContextId ctx,
+                                            NfPortIndex in_port,
+                                            sim::SimTime now,
+                                            packet::PacketBurst&& burst) {
   std::vector<NfOutput> out;
-  ++counters_.in_packets;
+  NfTally tally;
+  tally.in_packets = burst.size();
   if (!has_context(ctx) || in_port >= ports_) {
-    ++counters_.errors;
+    tally.errors = burst.size();
+    tally.publish(counters_);
+    burst.clear();
     return out;
   }
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth) {
-    ++counters_.errors;
-    return out;
-  }
+  out.reserve(burst.size());
   auto& table = fdb_[ctx];
+  for (packet::PacketBuffer& frame : burst) {
+    auto eth = packet::parse_ethernet(frame.data());
+    if (!eth) {
+      ++tally.errors;
+      continue;
+    }
 
-  // Learn the source (unicast sources only).
-  if (!eth->src.is_multicast()) {
-    table[eth->src] = FdbEntry{in_port, now};
-  }
+    // Learn the source (unicast sources only).
+    if (!eth->src.is_multicast()) {
+      table[eth->src] = FdbEntry{in_port, now};
+    }
 
-  // Look up the destination, honouring aging.
-  NfPortIndex dst_port = ports_;  // sentinel: flood
-  if (!eth->dst.is_multicast() && !eth->dst.is_broadcast()) {
-    auto it = table.find(eth->dst);
-    if (it != table.end()) {
-      if (now - it->second.learned_at > aging_time_) {
-        table.erase(it);
-      } else {
-        dst_port = it->second.port;
+    // Look up the destination, honouring aging.
+    NfPortIndex dst_port = ports_;  // sentinel: flood
+    if (!eth->dst.is_multicast() && !eth->dst.is_broadcast()) {
+      auto it = table.find(eth->dst);
+      if (it != table.end()) {
+        if (now - it->second.learned_at > aging_time_) {
+          table.erase(it);
+        } else {
+          dst_port = it->second.port;
+        }
       }
     }
-  }
 
-  if (dst_port < ports_) {
-    if (dst_port != in_port) {  // never hairpin
-      out.push_back(NfOutput{dst_port, std::move(frame)});
-      ++counters_.out_packets;
-    } else {
-      ++counters_.dropped;
+    if (dst_port < ports_) {
+      if (dst_port != in_port) {  // never hairpin
+        out.push_back(NfOutput{dst_port, std::move(frame)});
+      } else {
+        ++tally.dropped;
+      }
+      continue;
     }
-    return out;
-  }
 
-  // Flood to all ports except the ingress.
-  for (NfPortIndex p = 0; p < ports_; ++p) {
-    if (p == in_port) continue;
-    out.push_back(NfOutput{p, frame.clone()});
-    ++counters_.out_packets;
+    // Flood to all ports except the ingress.
+    for (NfPortIndex p = 0; p < ports_; ++p) {
+      if (p != in_port) out.push_back(NfOutput{p, frame.clone()});
+    }
   }
+  tally.out_packets = out.size();
+  tally.publish(counters_);
+  burst.clear();
   return out;
 }
 

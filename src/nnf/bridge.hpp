@@ -23,9 +23,9 @@ class Bridge : public NetworkFunction {
   /// Config keys: "aging_time_ms".
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
-  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                sim::SimTime now,
-                                packet::PacketBuffer&& frame) override;
+  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
+                                      sim::SimTime now,
+                                      packet::PacketBurst&& burst) override;
 
   util::Status remove_context(ContextId ctx) override;
 

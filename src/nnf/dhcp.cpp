@@ -223,54 +223,65 @@ packet::PacketBuffer DhcpServer::build_reply(const ContextState& state,
   return packet::build_udp_frame(spec);
 }
 
-std::vector<NfOutput> DhcpServer::process(ContextId ctx, NfPortIndex in_port,
-                                          sim::SimTime now,
-                                          packet::PacketBuffer&& frame) {
+std::vector<NfOutput> DhcpServer::process_burst(ContextId ctx,
+                                                NfPortIndex in_port,
+                                                sim::SimTime now,
+                                                packet::PacketBurst&& burst) {
   std::vector<NfOutput> out;
-  if (!has_context(ctx) || in_port != 0) return out;
   auto it = state_.find(ctx);
-  if (it == state_.end() || !it->second.configured) return out;
-  ContextState& state = it->second;
+  if (has_context(ctx) && in_port == 0 && it != state_.end() &&
+      it->second.configured) {
+    for (const packet::PacketBuffer& frame : burst) {
+      if (auto reply = serve(it->second, now, frame)) {
+        out.push_back(NfOutput{0, std::move(*reply)});
+      }
+    }
+  }
+  burst.clear();
+  return out;
+}
 
+std::optional<packet::PacketBuffer> DhcpServer::serve(
+    ContextState& state, sim::SimTime now,
+    const packet::PacketBuffer& frame) {
   // Must be UDP to port 67.
   auto fields = packet::extract_flow_fields(frame.data());
   if (!fields || !fields->ipv4.has_value() ||
       fields->ipv4->protocol != packet::kIpProtoUdp ||
       fields->l4_dst.value_or(0) != 67) {
-    return out;  // not for us; DHCP NF consumes only server traffic
+    return std::nullopt;  // not for us; DHCP NF consumes only server traffic
   }
   const std::size_t payload_off = fields->eth.wire_size() +
                                   fields->ipv4->header_size() +
                                   packet::kUdpHeaderSize;
   if (payload_off >= frame.size()) {
     ++stats_.malformed;
-    return out;
+    return std::nullopt;
   }
   auto msg = parse_dhcp(frame.data().subspan(payload_off));
   if (!msg || msg->op != 1) {
     ++stats_.malformed;
-    return out;
+    return std::nullopt;
   }
 
   switch (msg->message_type) {
     case kDhcpDiscover: {
       ++stats_.discovers;
       auto ip = allocate(state, msg->client_mac, now, msg->requested_ip);
-      if (!ip) return out;
+      if (!ip) return std::nullopt;
       // Offers are tentative: reserve briefly so parallel discovers do not
       // collide, but let REQUEST set the real lease.
       state.leases[ip->value] =
           Lease{msg->client_mac, now + 10 * sim::kSecond};
       ++stats_.offers;
-      out.push_back(NfOutput{0, build_reply(state, *msg, kDhcpOffer, *ip)});
-      return out;
+      return build_reply(state, *msg, kDhcpOffer, *ip);
     }
     case kDhcpRequest: {
       ++stats_.requests;
       // A request for another server's offer is none of our business.
       if (msg->server_id.has_value() &&
           !(msg->server_id == state.server_ip)) {
-        return out;
+        return std::nullopt;
       }
       packet::Ipv4Address wanted =
           msg->requested_ip.value_or(msg->ciaddr);
@@ -284,15 +295,12 @@ std::vector<NfOutput> DhcpServer::process(ContextId ctx, NfPortIndex in_port,
       }
       if (!ours || !free_or_mine) {
         ++stats_.naks;
-        out.push_back(NfOutput{
-            0, build_reply(state, *msg, kDhcpNak, packet::Ipv4Address{})});
-        return out;
+        return build_reply(state, *msg, kDhcpNak, packet::Ipv4Address{});
       }
       state.leases[wanted.value] =
           Lease{msg->client_mac, now + state.lease_time};
       ++stats_.acks;
-      out.push_back(NfOutput{0, build_reply(state, *msg, kDhcpAck, wanted)});
-      return out;
+      return build_reply(state, *msg, kDhcpAck, wanted);
     }
     case kDhcpRelease: {
       ++stats_.releases;
@@ -301,10 +309,10 @@ std::vector<NfOutput> DhcpServer::process(ContextId ctx, NfPortIndex in_port,
           lease->second.mac == msg->client_mac) {
         state.leases.erase(lease);
       }
-      return out;
+      return std::nullopt;
     }
     default:
-      return out;  // INFORM/DECLINE etc. ignored in this implementation
+      return std::nullopt;  // INFORM/DECLINE etc. ignored here
   }
 }
 

@@ -67,9 +67,9 @@ class DhcpServer : public NetworkFunction {
   ///   lease_time_ms  default 3600000
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
-  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                sim::SimTime now,
-                                packet::PacketBuffer&& frame) override;
+  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
+                                      sim::SimTime now,
+                                      packet::PacketBurst&& burst) override;
 
   util::Status remove_context(ContextId ctx) override;
 
@@ -98,6 +98,11 @@ class DhcpServer : public NetworkFunction {
                                              sim::SimTime now,
                                              std::optional<packet::Ipv4Address>
                                                  requested);
+
+  /// Answers one client frame; nullopt when it needs no reply.
+  std::optional<packet::PacketBuffer> serve(ContextState& state,
+                                            sim::SimTime now,
+                                            const packet::PacketBuffer& frame);
 
   packet::PacketBuffer build_reply(const ContextState& state,
                                    const DhcpMessage& request,

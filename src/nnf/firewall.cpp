@@ -148,46 +148,52 @@ util::Status Firewall::configure(ContextId ctx, const NfConfig& config) {
   return util::Status::ok();
 }
 
-std::vector<NfOutput> Firewall::process(ContextId ctx, NfPortIndex in_port,
-                                        sim::SimTime /*now*/,
-                                        packet::PacketBuffer&& frame) {
+std::vector<NfOutput> Firewall::process_burst(ContextId ctx,
+                                              NfPortIndex in_port,
+                                              sim::SimTime /*now*/,
+                                              packet::PacketBurst&& burst) {
   std::vector<NfOutput> out;
-  ++counters_.in_packets;
+  NfTally tally;
+  tally.in_packets = burst.size();
   if (!has_context(ctx) || in_port >= 2) {
-    ++counters_.errors;
-    return out;
-  }
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth) {
-    ++counters_.errors;
-    return out;
-  }
-  FilterVerdict verdict;
-  const ContextState& state = state_[ctx];
-  if (eth->ether_type != packet::kEtherTypeIpv4) {
-    // Non-IP (e.g. ARP) always passes, like iptables.
-    verdict = FilterVerdict::kAccept;
+    tally.errors = burst.size();
   } else {
-    auto tuple =
-        packet::extract_five_tuple(frame.data().subspan(eth->wire_size()));
-    if (!tuple) {
-      ++counters_.dropped;
-      return out;  // malformed IP: drop
-    }
-    verdict = state.policy;
-    for (const FilterRule& rule : state.rules) {
-      if (rule.matches(in_port, tuple.value())) {
-        verdict = rule.verdict;
-        break;
+    out.reserve(burst.size());
+    const ContextState& state = state_[ctx];
+    const NfPortIndex out_port = in_port == 0 ? 1u : 0u;
+    for (packet::PacketBuffer& frame : burst) {
+      auto eth = packet::parse_ethernet(frame.data());
+      if (!eth) {
+        ++tally.errors;
+        continue;
       }
+      // Non-IP (e.g. ARP) always passes, like iptables.
+      FilterVerdict verdict = FilterVerdict::kAccept;
+      if (eth->ether_type == packet::kEtherTypeIpv4) {
+        auto tuple =
+            packet::extract_five_tuple(frame.data().subspan(eth->wire_size()));
+        if (!tuple) {
+          ++tally.dropped;  // malformed IP: drop
+          continue;
+        }
+        verdict = state.policy;
+        for (const FilterRule& rule : state.rules) {
+          if (rule.matches(in_port, tuple.value())) {
+            verdict = rule.verdict;
+            break;
+          }
+        }
+      }
+      if (verdict == FilterVerdict::kDrop) {
+        ++tally.dropped;
+        continue;
+      }
+      out.push_back(NfOutput{out_port, std::move(frame)});
     }
+    tally.out_packets = out.size();
   }
-  if (verdict == FilterVerdict::kDrop) {
-    ++counters_.dropped;
-    return out;
-  }
-  out.push_back(NfOutput{in_port == 0 ? 1u : 0u, std::move(frame)});
-  ++counters_.out_packets;
+  tally.publish(counters_);
+  burst.clear();
   return out;
 }
 

@@ -47,9 +47,9 @@ class Firewall : public NetworkFunction {
   /// e.g. "drop,10.0.0.0/8,any,tcp,22" or "accept,any,192.168.1.7,udp,5000-5010".
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
-  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                sim::SimTime now,
-                                packet::PacketBuffer&& frame) override;
+  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
+                                      sim::SimTime now,
+                                      packet::PacketBurst&& burst) override;
 
   util::Status remove_context(ContextId ctx) override;
 

@@ -517,63 +517,22 @@ bool IpsecEndpoint::fast_path_ok(const Tunnel& tunnel, NfPortIndex in_port,
   return true;
 }
 
-std::vector<NfOutput> IpsecEndpoint::process(ContextId ctx,
-                                             NfPortIndex in_port,
-                                             sim::SimTime now,
-                                             packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  {
-    // Steady-state fast path under the shared lock: counters are
-    // atomic, the replay window is single-writer (RSS pins a SPI's
-    // ingress to one worker), and fast_path_ok guarantees no lifecycle
-    // transition can trigger for this packet.
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (!has_context(ctx) || in_port >= 2) {
-      ++stats_shard().malformed;
-      return out;
-    }
-    auto it = tunnels_.find(ctx);
-    if (it == tunnels_.end() || !it->second.configured) {
-      ++stats_shard().no_sa;
-      return out;
-    }
-    Tunnel& tunnel = it->second;
-    if (fast_path_ok(tunnel, in_port, 1)) {
-      if (in_port == 0) {
-        return tunnel.transform == EspTransform::kGcm
-                   ? encapsulate_gcm(tunnel, tunnel.out_sa, std::move(frame))
-                   : encapsulate_cbc(tunnel, tunnel.out_sa, std::move(frame));
-      }
-      return decapsulate(ctx, tunnel, std::move(frame));
-    }
-  }
-  // Lifecycle path (staged/draining generations, lifetimes, hard
-  // stops): exclusive lock, exact single-threaded semantics.
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = tunnels_.find(ctx);
-  if (it == tunnels_.end() || !it->second.configured) {
-    ++stats_shard().no_sa;
-    return out;
-  }
-  expire_draining(ctx, it->second, now);
-  if (in_port == 0) {
-    return encapsulate(ctx, it->second, now, std::move(frame));
-  }
-  return decapsulate(ctx, it->second, std::move(frame));
-}
-
-std::vector<NfOutput> IpsecEndpoint::encapsulate(
-    ContextId ctx, Tunnel& tunnel, sim::SimTime now,
-    packet::PacketBuffer&& frame) {
+void IpsecEndpoint::encapsulate(ContextId ctx, Tunnel& tunnel,
+                                sim::SimTime now,
+                                packet::PacketBuffer&& frame,
+                                std::vector<NfOutput>& out) {
   SecurityAssociation* sa = outbound_gate(ctx, tunnel, now);
-  if (sa == nullptr) return {};
-  return tunnel.transform == EspTransform::kGcm
-             ? encapsulate_gcm(tunnel, *sa, std::move(frame))
-             : encapsulate_cbc(tunnel, *sa, std::move(frame));
+  if (sa == nullptr) return;
+  if (tunnel.transform == EspTransform::kGcm) {
+    encapsulate_gcm(tunnel, *sa, std::move(frame), out);
+  } else {
+    encapsulate_cbc(tunnel, *sa, std::move(frame), out);
+  }
 }
 
-std::vector<NfOutput> IpsecEndpoint::decapsulate(
-    ContextId ctx, Tunnel& tunnel, packet::PacketBuffer&& frame) {
+void IpsecEndpoint::decapsulate(ContextId ctx, Tunnel& tunnel,
+                                packet::PacketBuffer&& frame,
+                                std::vector<NfOutput>& out) {
   const std::size_t min_esp_payload =
       tunnel.transform == EspTransform::kGcm
           ? packet::kEspHeaderSize + kGcmIvSize + 2 + kGcmIcvSize
@@ -583,10 +542,12 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate(
   // ingress spans must point into a privately owned segment.
   frame.unshare();
   auto ingress = parse_esp_ingress(ctx, tunnel, frame, min_esp_payload);
-  if (!ingress) return {};
-  return tunnel.transform == EspTransform::kGcm
-             ? decapsulate_gcm(tunnel, *ingress, std::move(frame))
-             : decapsulate_cbc(tunnel, *ingress, std::move(frame));
+  if (!ingress) return;
+  if (tunnel.transform == EspTransform::kGcm) {
+    decapsulate_gcm(tunnel, *ingress, std::move(frame), out);
+  } else {
+    decapsulate_cbc(tunnel, *ingress, std::move(frame), out);
+  }
 }
 
 std::optional<std::span<const std::uint8_t>> IpsecEndpoint::parse_inner_ipv4(
@@ -698,8 +659,8 @@ std::optional<IpsecEndpoint::EspIngress> IpsecEndpoint::parse_esp_ingress(
     return std::nullopt;
   }
   // One recovery per packet: the 64-bit sequence inferred here is reused
-  // for the AAD/ICV input and the replay update by every caller (single
-  // and burst paths alike).
+  // for the AAD/ICV input and the replay update by every caller (serial
+  // and multi-buffer paths alike).
   const std::uint64_t seq =
       sa->esn ? esn_recover_seq(*sa, esp->sequence) : esp->sequence;
   const std::size_t esp_off =
@@ -707,15 +668,15 @@ std::optional<IpsecEndpoint::EspIngress> IpsecEndpoint::parse_esp_ingress(
   return EspIngress{esp_area, esp_off, seq, sa, keymat};
 }
 
-std::vector<NfOutput> IpsecEndpoint::emit_inner(
-    const Tunnel& tunnel, SecurityAssociation& sa,
-    packet::PacketBuffer&& inner) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::emit_inner(const Tunnel& tunnel,
+                               SecurityAssociation& sa,
+                               packet::PacketBuffer&& inner,
+                               std::vector<NfOutput>& out) {
   const auto plaintext = inner.data();
   if (plaintext.size() < 2) {
     ++sa.malformed;
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   const std::uint8_t next_header = plaintext.back();
   const std::uint8_t pad_len = plaintext[plaintext.size() - 2];
@@ -724,7 +685,7 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
   if (next_header != 4 || plaintext.size() < 2u + pad_len) {
     ++sa.malformed;
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   // Validate the monotonic pad bytes (cheap corruption check).
   for (std::size_t i = 0; i < pad_len; ++i) {
@@ -732,7 +693,7 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
     if (plaintext[idx] != i + 1) {
       ++sa.malformed;
       ++stats_shard().malformed;
-      return out;
+      return;
     }
   }
   // Strip the trailer and rebuild the Ethernet header in the headroom
@@ -749,16 +710,15 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
   sa.bytes += inner.size();
   ++stats_shard().decapsulated;
   out.push_back(NfOutput{0, std::move(inner)});
-  return out;
 }
 
-std::vector<NfOutput> IpsecEndpoint::encapsulate_cbc(
-    Tunnel& tunnel, SecurityAssociation& sa, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::encapsulate_cbc(Tunnel& tunnel, SecurityAssociation& sa,
+                                    packet::PacketBuffer&& frame,
+                                    std::vector<NfOutput>& out) {
   // The frame is rebuilt in place; a flooded replica goes private first.
   frame.unshare();
   auto inner = parse_inner_ipv4(frame);
-  if (!inner) return out;
+  if (!inner) return;
 
   // Claim this packet's sequence number atomically: workers sharing the
   // SA each get a unique value.
@@ -781,7 +741,7 @@ std::vector<NfOutput> IpsecEndpoint::encapsulate_cbc(
   auto ciphertext = crypto::aes_cbc_encrypt_raw(*keymat.cipher, iv, plaintext);
   if (!ciphertext) {
     ++stats_shard().malformed;
-    return out;
+    return;
   }
 
   // Reassemble Eth | outer IPv4 | ESP | IV | ciphertext | ICV into the
@@ -816,12 +776,11 @@ std::vector<NfOutput> IpsecEndpoint::encapsulate_cbc(
   sa.bytes += inner_size;
   ++stats_shard().encapsulated;
   out.push_back(NfOutput{1, std::move(frame)});
-  return out;
 }
 
-std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
-    Tunnel& tunnel, EspIngress ingress, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::decapsulate_cbc(Tunnel& tunnel, EspIngress ingress,
+                                    packet::PacketBuffer&& frame,
+                                    std::vector<NfOutput>& out) {
   SecurityAssociation& sa = *ingress.sa;
   Keymat& keymat = *ingress.keymat;
   auto esp_area = ingress.esp_area;
@@ -842,12 +801,12 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
                                    esp_area.subspan(auth_len, kIcvSize))) {
     ++sa.auth_fail;
     ++stats_shard().auth_failures;
-    return out;
+    return;
   }
   if (!replay_check_and_update(sa, ingress.sequence)) {
     ++sa.replay_drops;
     ++stats_shard().replay_drops;
-    return out;
+    return;
   }
 
   auto iv = esp_area.subspan(packet::kEspHeaderSize, kIvSize);
@@ -859,7 +818,7 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
   if (!plaintext) {
     ++sa.malformed;
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   // Rebuild the decrypted payload into the frame's own segment (the CBC
   // helper stages through a vector); the vacated outer-header space
@@ -867,7 +826,7 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
   frame.reset();
   auto dst = frame.push_back(plaintext->size());
   std::memcpy(dst.data(), plaintext->data(), plaintext->size());
-  return emit_inner(tunnel, sa, std::move(frame));
+  emit_inner(tunnel, sa, std::move(frame), out);
 }
 
 // RFC 4106-shaped AES-GCM ESP: Eth | outer IPv4 | ESP | IV(8) |
@@ -950,12 +909,12 @@ NfOutput IpsecEndpoint::encapsulate_gcm_finish(SecurityAssociation& sa,
   return NfOutput{1, std::move(prep.frame)};
 }
 
-std::vector<NfOutput> IpsecEndpoint::encapsulate_gcm(
-    Tunnel& tunnel, SecurityAssociation& sa, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::encapsulate_gcm(Tunnel& tunnel, SecurityAssociation& sa,
+                                    packet::PacketBuffer&& frame,
+                                    std::vector<NfOutput>& out) {
   GcmEncapPrep prep;
   if (!encapsulate_gcm_prepare(tunnel, sa, std::move(frame), prep)) {
-    return out;
+    return;
   }
   auto buf = prep.frame.data();
   // Encryption and authentication in one in-place seal() over the
@@ -969,10 +928,9 @@ std::vector<NfOutput> IpsecEndpoint::encapsulate_gcm(
                   buf.data() + prep.ct_off + prep.pt_len)
            .is_ok()) {
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   out.push_back(encapsulate_gcm_finish(sa, std::move(prep)));
-  return out;
 }
 
 void IpsecEndpoint::encapsulate_gcm_burst(Tunnel& tunnel,
@@ -1104,15 +1062,14 @@ void IpsecEndpoint::decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
       }
       prep.frame.pull_front(prep.pt_off);
       prep.frame.trim(prep.ct_len);
-      auto one = emit_inner(tunnel, sa, std::move(prep.frame));
-      for (NfOutput& output : one) out.push_back(std::move(output));
+      emit_inner(tunnel, sa, std::move(prep.frame), out);
     }
   }
 }
 
-std::vector<NfOutput> IpsecEndpoint::decapsulate_gcm(
-    Tunnel& tunnel, EspIngress ingress, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::decapsulate_gcm(Tunnel& tunnel, EspIngress ingress,
+                                    packet::PacketBuffer&& frame,
+                                    std::vector<NfOutput>& out) {
   SecurityAssociation& sa = *ingress.sa;
   Keymat& keymat = *ingress.keymat;
   auto esp_area = ingress.esp_area;
@@ -1142,18 +1099,18 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate_gcm(
                         icv, frame.data().data() + pt_off)) {
     ++sa.auth_fail;
     ++stats_shard().auth_failures;
-    return out;
+    return;
   }
   if (!replay_check_and_update(sa, ingress.sequence)) {
     ++sa.replay_drops;
     ++stats_shard().replay_drops;
-    return out;
+    return;
   }
   // Decap is a pure view adjustment: the outer headers + ESP + IV
   // become headroom, the ICV falls off the tail.
   frame.pull_front(pt_off);
   frame.trim(ct_len);
-  return emit_inner(tunnel, sa, std::move(frame));
+  emit_inner(tunnel, sa, std::move(frame), out);
 }
 
 std::vector<NfOutput> IpsecEndpoint::process_burst(
@@ -1190,11 +1147,11 @@ std::vector<NfOutput> IpsecEndpoint::process_burst(
         decapsulate_gcm_burst(ctx, tunnel, burst, out);
       } else {
         for (packet::PacketBuffer& frame : burst) {
-          auto one = in_port == 0
-                         ? encapsulate_cbc(tunnel, tunnel.out_sa,
-                                           std::move(frame))
-                         : decapsulate(ctx, tunnel, std::move(frame));
-          for (NfOutput& output : one) out.push_back(std::move(output));
+          if (in_port == 0) {
+            encapsulate_cbc(tunnel, tunnel.out_sa, std::move(frame), out);
+          } else {
+            decapsulate(ctx, tunnel, std::move(frame), out);
+          }
         }
       }
       burst.clear();
@@ -1214,10 +1171,11 @@ std::vector<NfOutput> IpsecEndpoint::process_burst(
   expire_draining(ctx, tunnel, now);
   out.reserve(burst.size());
   for (packet::PacketBuffer& frame : burst) {
-    auto one = in_port == 0
-                   ? encapsulate(ctx, tunnel, now, std::move(frame))
-                   : decapsulate(ctx, tunnel, std::move(frame));
-    for (NfOutput& output : one) out.push_back(std::move(output));
+    if (in_port == 0) {
+      encapsulate(ctx, tunnel, now, std::move(frame), out);
+    } else {
+      decapsulate(ctx, tunnel, std::move(frame), out);
+    }
   }
   burst.clear();
   return out;

@@ -183,14 +183,10 @@ class IpsecEndpoint : public NetworkFunction {
   ///   outer_src_mac, outer_dst_mac, inner_src_mac, inner_dst_mac (optional)
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
-  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                sim::SimTime now,
-                                packet::PacketBuffer&& frame) override;
-
-  /// Burst override: the context -> tunnel resolution (hash lookup +
-  /// configured checks), the drain-deadline sweep and the staged-cutover
-  /// check happen once for the whole burst instead of per packet; the
-  /// cached key schedules and HMAC midstate then serve every frame.
+  /// The context -> tunnel resolution (hash lookup + configured checks),
+  /// the lock, the drain-deadline sweep and the staged-cutover check
+  /// happen once for the whole burst instead of per packet; the cached
+  /// key schedules and HMAC midstate then serve every frame.
   std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
                                       sim::SimTime now,
                                       packet::PacketBurst&& burst) override;
@@ -296,7 +292,7 @@ class IpsecEndpoint : public NetworkFunction {
 
   // --- lifecycle ------------------------------------------------------
   /// Retires the draining SA once its deadline passed; called once per
-  /// process()/process_burst() entry.
+  /// process_burst() entry.
   void expire_draining(ContextId ctx, Tunnel& tunnel, sim::SimTime now);
   /// Atomically switches outbound to the staged generation and moves the
   /// superseded inbound SA into draining.
@@ -308,12 +304,13 @@ class IpsecEndpoint : public NetworkFunction {
   SecurityAssociation* outbound_gate(ContextId ctx, Tunnel& tunnel,
                                      sim::SimTime now);
 
-  // encapsulate/decapsulate dispatch on the tunnel's transform.
-  std::vector<NfOutput> encapsulate(ContextId ctx, Tunnel& tunnel,
-                                    sim::SimTime now,
-                                    packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate(ContextId ctx, Tunnel& tunnel,
-                                    packet::PacketBuffer&& frame);
+  // encapsulate/decapsulate dispatch on the tunnel's transform. These
+  // and every helper below append their output (if any) to the caller's
+  // burst-wide `out`.
+  void encapsulate(ContextId ctx, Tunnel& tunnel, sim::SimTime now,
+                   packet::PacketBuffer&& frame, std::vector<NfOutput>& out);
+  void decapsulate(ContextId ctx, Tunnel& tunnel, packet::PacketBuffer&& frame,
+                   std::vector<NfOutput>& out);
 
   /// Shared encap prologue: validates the red-side frame as
   /// Ethernet+IPv4 and returns the inner IP packet (trimmed to its
@@ -341,7 +338,7 @@ class IpsecEndpoint : public NetworkFunction {
   /// returns nullopt on failure. `sequence` is the full 64-bit sequence:
   /// under ESN the high half is recovered from the replay window
   /// (RFC 4304 Appendix A) exactly once here and reused for the AAD/ICV
-  /// input and the replay update — on both the single-packet and burst
+  /// input and the replay update — on both the serial and multi-buffer
   /// paths. Every size check happens before any state mutation.
   struct EspIngress {
     std::span<const std::uint8_t> esp_area;
@@ -360,24 +357,24 @@ class IpsecEndpoint : public NetworkFunction {
   /// 1..pad_len, next_header IPv4, pad_len bounded by the payload) with
   /// trim(), then rebuilds the red-side Ethernet header in the headroom
   /// the stripped outer headers left behind — no copy. Counts
-  /// `malformed` (endpoint + per-SA) and returns an empty vector on
-  /// failure.
-  std::vector<NfOutput> emit_inner(const Tunnel& tunnel,
-                                   SecurityAssociation& sa,
-                                   packet::PacketBuffer&& inner);
+  /// `malformed` (endpoint + per-SA) and emits nothing on failure.
+  void emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
+                  packet::PacketBuffer&& inner, std::vector<NfOutput>& out);
 
   static constexpr std::size_t kEspOffset =
       packet::kEthernetHeaderSize + packet::kIpv4MinHeaderSize;
-  std::vector<NfOutput> encapsulate_cbc(Tunnel& tunnel,
-                                        SecurityAssociation& sa,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate_cbc(Tunnel& tunnel, EspIngress ingress,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> encapsulate_gcm(Tunnel& tunnel,
-                                        SecurityAssociation& sa,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate_gcm(Tunnel& tunnel, EspIngress ingress,
-                                        packet::PacketBuffer&& frame);
+  void encapsulate_cbc(Tunnel& tunnel, SecurityAssociation& sa,
+                       packet::PacketBuffer&& frame,
+                       std::vector<NfOutput>& out);
+  void decapsulate_cbc(Tunnel& tunnel, EspIngress ingress,
+                       packet::PacketBuffer&& frame,
+                       std::vector<NfOutput>& out);
+  void encapsulate_gcm(Tunnel& tunnel, SecurityAssociation& sa,
+                       packet::PacketBuffer&& frame,
+                       std::vector<NfOutput>& out);
+  void decapsulate_gcm(Tunnel& tunnel, EspIngress ingress,
+                       packet::PacketBuffer&& frame,
+                       std::vector<NfOutput>& out);
 
   /// A GCM encapsulation carried up to (but excluding) the seal: the
   /// frame rebuilt in place (outer headers, ESP header/IV, trailer, ICV

@@ -62,36 +62,21 @@ bool PortPool::in_use(std::uint16_t port) const {
 
 namespace {
 
-/// Offsets of the fields NAT rewrites, relative to the L3 header.
-struct L3View {
-  std::size_t l3_off = 0;
-  packet::Ipv4Header ip;
-};
-
-util::Result<L3View> locate_ip(packet::PacketBuffer& frame) {
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth) return eth.status();
-  if (eth->ether_type != packet::kEtherTypeIpv4) {
-    return util::invalid_argument("not IPv4");
-  }
-  auto ip = packet::parse_ipv4(frame.data().subspan(eth->wire_size()));
-  if (!ip) return ip.status();
-  return L3View{eth->wire_size(), ip.value()};
-}
-
-/// Writes a new src/dst address + transport port into the frame, then fixes
+/// Writes a new src/dst address + transport port into the frame whose
+/// IPv4 header (`header`, already decoded) sits at `l3_off`, then fixes
 /// checksums.
-void rewrite(packet::PacketBuffer& frame, const L3View& view, bool rewrite_src,
+void rewrite(packet::PacketBuffer& frame, std::size_t l3_off,
+             const packet::Ipv4Header& header, bool rewrite_src,
              packet::Ipv4Address new_addr, std::uint16_t new_port) {
   frame.unshare();  // flooded replicas share bytes until first write
-  packet::Ipv4Header ip = view.ip;
+  packet::Ipv4Header ip = header;
   if (rewrite_src) {
     ip.src = new_addr;
   } else {
     ip.dst = new_addr;
   }
-  packet::write_ipv4(ip, frame.data().subspan(view.l3_off, ip.header_size()));
-  const std::size_t l4_off = view.l3_off + ip.header_size();
+  packet::write_ipv4(ip, frame.data().subspan(l3_off, ip.header_size()));
+  const std::size_t l4_off = l3_off + ip.header_size();
   if (ip.protocol == packet::kIpProtoTcp ||
       ip.protocol == packet::kIpProtoUdp) {
     // Port field offset: src at 0, dst at 2.
@@ -209,139 +194,149 @@ util::Result<std::uint16_t> Nat::allocate_port(ContextState& state,
   return util::resource_exhausted("nat: port pool exhausted");
 }
 
-std::vector<NfOutput> Nat::process(ContextId ctx, NfPortIndex in_port,
-                                   sim::SimTime now,
-                                   packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  ++counters_.in_packets;
-  if (!has_context(ctx) || in_port >= 2) {
-    ++counters_.errors;
-    return out;
-  }
-  auto state_it = state_.find(ctx);
-  if (state_it == state_.end() || !state_it->second.external_ip_set) {
-    ++counters_.dropped;
-    return out;
-  }
-  ContextState& state = state_it->second;
-  auto view = locate_ip(frame);
-  if (!view) {
-    // Non-IP traffic passes through untranslated (L2 bridging behaviour).
-    out.push_back(NfOutput{in_port == 0 ? 1u : 0u, std::move(frame)});
-    ++counters_.out_packets;
-    return out;
-  }
-  auto tuple =
-      packet::extract_five_tuple(frame.data().subspan(view->l3_off));
-  if (!tuple) {
-    ++counters_.dropped;
-    return out;
-  }
+std::optional<Nat::Parsed> Nat::parse(const packet::PacketBuffer& frame) {
+  auto eth = packet::parse_ethernet(frame.data());
+  if (!eth || eth->ether_type != packet::kEtherTypeIpv4) return std::nullopt;
+  auto ip = packet::parse_ipv4(frame.data().subspan(eth->wire_size()));
+  if (!ip) return std::nullopt;
+  return Parsed{eth->wire_size(), ip.value(), {}};
+}
 
-  // Fast path: a fresh session hit with no sweep due touches only
-  // atomics, so it runs under the shared lock — workers carrying
-  // different flows proceed in parallel.
-  {
-    std::shared_lock<std::shared_mutex> lock(state.mutex);
-    if (!sweep_due(state, now)) {
-      if (in_port == 0) {
-        auto it = state.by_original.find(tuple.value());
-        if (it != state.by_original.end() &&
-            !session_stale(state, it->second, now)) {
-          it->second.last_seen = now;
-          rewrite(frame, view.value(), /*rewrite_src=*/true,
-                  state.external_ip, it->second.external_port);
-          out.push_back(NfOutput{1, std::move(frame)});
-          ++counters_.out_packets;
-          return out;
-        }
-        // Miss or stale hit: fall through to the slow path.
-      } else {
-        if (!(tuple->dst_ip == state.external_ip)) {
-          ++counters_.dropped;
-          return out;
-        }
-        auto ext = state.by_external.find(
-            {tuple->protocol, external_key_port(tuple.value())});
-        if (ext == state.by_external.end()) {
-          ++counters_.dropped;
-          return out;
-        }
-        auto session = state.by_original.find(ext->second);
-        if (session != state.by_original.end() &&
-            !session_stale(state, session->second, now)) {
-          session->second.last_seen = now;
-          const packet::FiveTuple original = session->second.original;
-          rewrite(frame, view.value(), /*rewrite_src=*/false,
-                  original.src_ip, original.src_port);
-          out.push_back(NfOutput{0, std::move(frame)});
-          ++counters_.out_packets;
-          return out;
-        }
-        // Stale session: fall through to evict it under the unique lock.
-      }
+Nat::Step Nat::translate_fast(ContextState& state, NfPortIndex in_port,
+                              sim::SimTime now, packet::PacketBuffer& frame,
+                              const Parsed& parsed) {
+  if (sweep_due(state, now)) return Step::kSlowPath;
+  const packet::FiveTuple& tuple = parsed.tuple;
+  if (in_port == 0) {
+    auto it = state.by_original.find(tuple);
+    if (it == state.by_original.end() ||
+        session_stale(state, it->second, now)) {
+      return Step::kSlowPath;  // miss or stale hit
     }
+    it->second.last_seen = now;
+    rewrite(frame, parsed.l3_off, parsed.ip, /*rewrite_src=*/true,
+            state.external_ip, it->second.external_port);
+    return Step::kForward;
   }
+  if (!(tuple.dst_ip == state.external_ip)) return Step::kDrop;
+  auto ext = state.by_external.find({tuple.protocol, external_key_port(tuple)});
+  if (ext == state.by_external.end()) return Step::kDrop;
+  auto session = state.by_original.find(ext->second);
+  if (session == state.by_original.end() ||
+      session_stale(state, session->second, now)) {
+    return Step::kSlowPath;  // evict it under the unique lock
+  }
+  session->second.last_seen = now;
+  const packet::FiveTuple original = session->second.original;
+  rewrite(frame, parsed.l3_off, parsed.ip, /*rewrite_src=*/false,
+          original.src_ip, original.src_port);
+  return Step::kForward;
+}
 
-  // Slow path: session setup, stale eviction or the periodic sweep.
-  std::unique_lock<std::shared_mutex> lock(state.mutex);
+bool Nat::translate_slow(ContextState& state, NfPortIndex in_port,
+                         sim::SimTime now, packet::PacketBuffer& frame,
+                         const Parsed& parsed) {
   if (sweep_due(state, now)) sweep(state, now);
+  const packet::FiveTuple& tuple = parsed.tuple;
 
   if (in_port == 0) {
     // Outbound: find or create a session.
-    auto it = state.by_original.find(tuple.value());
+    auto it = state.by_original.find(tuple);
     if (it != state.by_original.end() &&
         session_stale(state, it->second, now)) {
       evict(state, it);
       it = state.by_original.end();
     }
     if (it == state.by_original.end()) {
-      auto port = allocate_port(state, tuple->protocol);
-      if (!port) {
-        ++counters_.dropped;
-        return out;
-      }
-      Session session{tuple.value(), port.value(), now};
-      it = state.by_original.emplace(tuple.value(), session).first;
-      state.by_external[{tuple->protocol, port.value()}] = tuple.value();
+      auto port = allocate_port(state, tuple.protocol);
+      if (!port) return false;
+      Session session{tuple, port.value(), now};
+      it = state.by_original.emplace(tuple, session).first;
+      state.by_external[{tuple.protocol, port.value()}] = tuple;
     }
     it->second.last_seen = now;
-    rewrite(frame, view.value(), /*rewrite_src=*/true, state.external_ip,
-            it->second.external_port);
-    out.push_back(NfOutput{1, std::move(frame)});
-    ++counters_.out_packets;
-    return out;
+    rewrite(frame, parsed.l3_off, parsed.ip, /*rewrite_src=*/true,
+            state.external_ip, it->second.external_port);
+    return true;
   }
 
   // Inbound: must match a tracked, fresh session and target the
   // external IP.
-  if (!(tuple->dst_ip == state.external_ip)) {
-    ++counters_.dropped;
-    return out;
-  }
-  auto ext = state.by_external.find(
-      {tuple->protocol, external_key_port(tuple.value())});
-  if (ext == state.by_external.end()) {
-    ++counters_.dropped;
-    return out;
-  }
+  if (!(tuple.dst_ip == state.external_ip)) return false;
+  auto ext = state.by_external.find({tuple.protocol, external_key_port(tuple)});
+  if (ext == state.by_external.end()) return false;
   auto session = state.by_original.find(ext->second);
   if (session == state.by_original.end()) {
     state.by_external.erase(ext);
-    ++counters_.dropped;
-    return out;
+    return false;
   }
   if (session_stale(state, session->second, now)) {
     evict(state, session);
-    ++counters_.dropped;
-    return out;
+    return false;
   }
   session->second.last_seen = now;
   const packet::FiveTuple original = session->second.original;
-  rewrite(frame, view.value(), /*rewrite_src=*/false, original.src_ip,
-          original.src_port);
-  out.push_back(NfOutput{0, std::move(frame)});
-  ++counters_.out_packets;
+  rewrite(frame, parsed.l3_off, parsed.ip, /*rewrite_src=*/false,
+          original.src_ip, original.src_port);
+  return true;
+}
+
+std::vector<NfOutput> Nat::process_burst(ContextId ctx, NfPortIndex in_port,
+                                         sim::SimTime now,
+                                         packet::PacketBurst&& burst) {
+  std::vector<NfOutput> out;
+  NfTally tally;
+  tally.in_packets = burst.size();
+  auto state_it = state_.find(ctx);
+  if (!has_context(ctx) || in_port >= 2) {
+    tally.errors = burst.size();
+  } else if (state_it == state_.end() || !state_it->second.external_ip_set) {
+    tally.dropped = burst.size();
+  } else {
+    ContextState& state = state_it->second;
+    const NfPortIndex out_port = in_port == 0 ? 1u : 0u;
+    out.reserve(burst.size());
+    // One shared lock for the whole burst: session hits only touch
+    // atomics, so workers carrying different flows proceed in parallel.
+    // A frame that needs the slow path trades it for the unique lock for
+    // that frame alone, so outputs stay in frame order.
+    std::shared_lock<std::shared_mutex> shared(state.mutex);
+    for (packet::PacketBuffer& frame : burst) {
+      auto parsed = parse(frame);
+      if (!parsed) {
+        // Non-IP traffic passes through untranslated (L2 bridging
+        // behaviour).
+        out.push_back(NfOutput{out_port, std::move(frame)});
+        continue;
+      }
+      auto tuple =
+          packet::extract_five_tuple(frame.data().subspan(parsed->l3_off));
+      if (!tuple) {
+        ++tally.dropped;
+        continue;
+      }
+      parsed->tuple = tuple.value();
+      Step step = translate_fast(state, in_port, now, frame, *parsed);
+      if (step == Step::kSlowPath) {
+        shared.unlock();
+        {
+          std::unique_lock<std::shared_mutex> lock(state.mutex);
+          step = translate_slow(state, in_port, now, frame, *parsed)
+                     ? Step::kForward
+                     : Step::kDrop;
+        }
+        shared.lock();
+      }
+      if (step == Step::kForward) {
+        out.push_back(NfOutput{out_port, std::move(frame)});
+      } else {
+        ++tally.dropped;
+      }
+    }
+    tally.out_packets = out.size();
+  }
+  tally.publish(counters_);
+  burst.clear();
   return out;
 }
 

@@ -8,9 +8,10 @@
 // service graphs.
 //
 // Threading (docs/datapath.md §6): each context carries a shared_mutex.
-// Steady-state packets (session hit, not stale, no sweep due) run under a
-// shared lock and only touch atomics (last_seen, counters). Session
-// creation, stale eviction and the periodic sweep take the unique lock.
+// A burst takes it shared once; steady-state packets (session hit, not
+// stale, no sweep due) run under it and only touch atomics (last_seen).
+// Session creation, stale eviction and the periodic sweep take the
+// unique lock, one frame at a time and in frame order.
 // Port allocation draws from the calling worker's slice of the port
 // range (set_worker_count()), so concurrent flow setup on different
 // workers never fights over one allocation cursor.
@@ -19,12 +20,14 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "exec/worker_slot.hpp"
 #include "nnf/network_function.hpp"
 #include "packet/flow_key.hpp"
+#include "packet/headers.hpp"
 #include "util/atomics.hpp"
 #include "util/sync.hpp"
 
@@ -75,9 +78,9 @@ class Nat : public NetworkFunction {
   /// "idle_timeout_ms" (default 30000).
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
-  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                sim::SimTime now,
-                                packet::PacketBuffer&& frame) override;
+  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
+                                      sim::SimTime now,
+                                      packet::PacketBurst&& burst) override;
 
   util::Status remove_context(ContextId ctx) override;
 
@@ -133,6 +136,27 @@ class Nat : public NetworkFunction {
                                       sim::SimTime now) {
     return now - state.last_sweep >= state.idle_timeout;
   }
+
+  /// A frame's IPv4 header and its offset, decoded once per frame.
+  struct Parsed {
+    std::size_t l3_off = 0;
+    packet::Ipv4Header ip;
+    packet::FiveTuple tuple;
+  };
+  /// Ethernet + IPv4 decode; nullopt for non-IP frames.
+  static std::optional<Parsed> parse(const packet::PacketBuffer& frame);
+
+  enum class Step { kForward, kDrop, kSlowPath };
+  /// Session-hit fast path under the context's shared lock: rewrites and
+  /// forwards, drops unsolicited inbound traffic, or defers anything that
+  /// mutates the tables (setup, stale eviction, sweep) to the slow path.
+  static Step translate_fast(ContextState& state, NfPortIndex in_port,
+                             sim::SimTime now, packet::PacketBuffer& frame,
+                             const Parsed& parsed);
+  /// Slow path under the unique lock; returns false when the frame drops.
+  bool translate_slow(ContextState& state, NfPortIndex in_port,
+                      sim::SimTime now, packet::PacketBuffer& frame,
+                      const Parsed& parsed);
 
   /// Full-table sweep; requires the context's unique lock.
   void sweep(ContextState& state, sim::SimTime now);

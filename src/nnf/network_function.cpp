@@ -39,17 +39,13 @@ util::Status NetworkFunction::require_context(ContextId ctx) const {
   return util::Status::ok();
 }
 
-std::vector<NfOutput> NetworkFunction::process_burst(
-    ContextId ctx, NfPortIndex in_port, sim::SimTime now,
-    packet::PacketBurst&& burst) {
-  std::vector<NfOutput> outputs;
-  outputs.reserve(burst.size());
-  for (packet::PacketBuffer& frame : burst) {
-    auto one = process(ctx, in_port, now, std::move(frame));
-    for (NfOutput& output : one) outputs.push_back(std::move(output));
-  }
-  burst.clear();
-  return outputs;
+std::vector<NfOutput> NetworkFunction::process(ContextId ctx,
+                                               NfPortIndex in_port,
+                                               sim::SimTime now,
+                                               packet::PacketBuffer&& frame) {
+  packet::PacketBurst single;
+  single.push_back(std::move(frame));
+  return process_burst(ctx, in_port, now, std::move(single));
 }
 
 }  // namespace nnfv::nnf

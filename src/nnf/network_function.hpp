@@ -61,19 +61,21 @@ class NetworkFunction {
   /// misspelled configs fail loudly.
   virtual util::Status configure(ContextId ctx, const NfConfig& config) = 0;
 
-  /// Processes one frame arriving on `in_port` of context `ctx` at
-  /// simulated time `now`; returns zero or more output frames.
-  virtual std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                        sim::SimTime now,
-                                        packet::PacketBuffer&& frame) = 0;
-
-  /// Processes a whole burst arriving on one port. The default shim calls
-  /// process() per frame, so single-packet subclasses work unchanged;
-  /// functions with per-burst amortisable state may override.
+  /// THE datapath entry point: processes a whole burst arriving on
+  /// `in_port` of context `ctx` at simulated time `now`, in arrival
+  /// order, and returns every output frame in one vector (reserved once
+  /// per burst). Per-burst state — context lookup, locks, counters — is
+  /// resolved and published once per call, not once per frame.
   virtual std::vector<NfOutput> process_burst(ContextId ctx,
                                               NfPortIndex in_port,
                                               sim::SimTime now,
-                                              packet::PacketBurst&& burst);
+                                              packet::PacketBurst&& burst) = 0;
+
+  /// One frame: a burst of 1 through process_burst(). Kept for control
+  /// paths and tests; the datapath always calls process_burst().
+  virtual std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
+                                        sim::SimTime now,
+                                        packet::PacketBuffer&& frame);
 
   /// Live per-context status counters as JSON, surfaced through the REST
   /// status path (GET /NF-FG/{id}/VNFs/{nf}/stats). The default reports
@@ -97,6 +99,22 @@ struct NfCounters {
   util::RelaxedCounter out_packets;
   util::RelaxedCounter dropped;
   util::RelaxedCounter errors;
+};
+
+/// A burst's NfCounters increments, summed in plain locals and published
+/// with one atomic add per counter when the burst is done.
+struct NfTally {
+  std::uint64_t in_packets = 0;
+  std::uint64_t out_packets = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t errors = 0;
+
+  void publish(NfCounters& counters) const {
+    if (in_packets != 0) counters.in_packets += in_packets;
+    if (out_packets != 0) counters.out_packets += out_packets;
+    if (dropped != 0) counters.dropped += dropped;
+    if (errors != 0) counters.errors += errors;
+  }
 };
 
 }  // namespace nnfv::nnf

@@ -44,39 +44,39 @@ util::Status TokenBucketPolicer::configure(ContextId ctx,
   return util::Status::ok();
 }
 
-std::vector<NfOutput> TokenBucketPolicer::process(
+std::vector<NfOutput> TokenBucketPolicer::process_burst(
     ContextId ctx, NfPortIndex in_port, sim::SimTime now,
-    packet::PacketBuffer&& frame) {
+    packet::PacketBurst&& burst) {
   std::vector<NfOutput> out;
-  if (!has_context(ctx) || in_port >= 2) return out;
+  if (!has_context(ctx) || in_port >= 2) {
+    burst.clear();
+    return out;
+  }
+  out.reserve(burst.size());
   Bucket& bucket = buckets_[ctx];
   const NfPortIndex out_port = in_port == 0 ? 1u : 0u;
 
   // Unpoliced direction or unconfigured bucket: pass through.
   const bool policed = bucket.rate_bytes_per_ns > 0.0 &&
                        (!bucket.police_up_only || in_port == 0);
-  if (!policed) {
-    ++stats_.conformed;
-    out.push_back(NfOutput{out_port, std::move(frame)});
-    return out;
-  }
-
-  // Refill.
-  if (now > bucket.last_refill) {
+  // Refill once: every frame of the burst arrives at `now`.
+  if (policed && now > bucket.last_refill) {
     bucket.tokens = std::min(
         bucket.burst_bytes,
         bucket.tokens + static_cast<double>(now - bucket.last_refill) *
                             bucket.rate_bytes_per_ns);
     bucket.last_refill = now;
   }
-  const double cost = static_cast<double>(frame.size());
-  if (bucket.tokens >= cost) {
-    bucket.tokens -= cost;
-    ++stats_.conformed;
-    out.push_back(NfOutput{out_port, std::move(frame)});
-  } else {
-    ++stats_.exceeded;
+  for (packet::PacketBuffer& frame : burst) {
+    const double cost = static_cast<double>(frame.size());
+    if (!policed || bucket.tokens >= cost) {
+      if (policed) bucket.tokens -= cost;
+      out.push_back(NfOutput{out_port, std::move(frame)});
+    }
   }
+  stats_.conformed += out.size();
+  stats_.exceeded += burst.size() - out.size();
+  burst.clear();
   return out;
 }
 

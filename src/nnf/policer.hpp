@@ -31,9 +31,9 @@ class TokenBucketPolicer : public NetworkFunction {
   ///   direction    "both" (default) | "up" (police port0->1 only)
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
-  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                sim::SimTime now,
-                                packet::PacketBuffer&& frame) override;
+  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
+                                      sim::SimTime now,
+                                      packet::PacketBurst&& burst) override;
 
   util::Status remove_context(ContextId ctx) override;
 

@@ -179,10 +179,14 @@ class PacketBuffer {
 /// Order-preserving per-port regrouping for the burst paths (LSI egress,
 /// NF burst egress): frames bound for the same port stay in arrival
 /// order; group discovery order is first-seen. Port counts per burst are
-/// tiny, so group lookup is a linear scan.
+/// tiny, so group lookup is a linear scan. Each group reserves room for
+/// `burst_size` frames when it is first seen, so regrouping a burst costs
+/// one allocation per group, not one per doubling.
 template <typename Port>
 class BurstGroups {
  public:
+  explicit BurstGroups(std::size_t burst_size) : burst_size_(burst_size) {}
+
   void add(Port port, PacketBuffer&& frame) {
     for (auto& [p, group] : groups_) {
       if (p == port) {
@@ -191,6 +195,7 @@ class BurstGroups {
       }
     }
     groups_.emplace_back(port, PacketBurst{});
+    groups_.back().second.reserve(burst_size_);
     groups_.back().second.push_back(std::move(frame));
   }
 
@@ -198,6 +203,7 @@ class BurstGroups {
   auto end() { return groups_.end(); }
 
  private:
+  std::size_t burst_size_;
   std::vector<std::pair<Port, PacketBurst>> groups_;
 };
 

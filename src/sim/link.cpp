@@ -57,7 +57,7 @@ bool ServiceStation::submit(SimTime service_time, Complete complete) {
         });
     return true;
   }
-  if (queue_.size() >= capacity_) {
+  if (queue_depth() >= capacity_) {
     ++stats_.dropped;
     return false;
   }
@@ -68,13 +68,19 @@ bool ServiceStation::submit(SimTime service_time, Complete complete) {
 }
 
 void ServiceStation::start_next() {
-  if (queue_.empty()) {
+  if (head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
     busy_ = false;
     return;
   }
   busy_ = true;
-  Pending item = std::move(queue_.front());
-  queue_.pop_front();
+  Pending item = std::move(queue_[head_++]);
+  if (head_ >= 64 && head_ > queue_.size() / 2) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   stats_.busy_time += item.service_time;
   simulator_.schedule(item.service_time,
                       [this, complete = std::move(item.complete)]() mutable {

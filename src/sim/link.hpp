@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "sim/simulator.hpp"
 
@@ -67,7 +68,9 @@ class ServiceStation {
   bool submit(SimTime service_time, Complete complete);
 
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_depth() const {
+    return queue_.size() - head_;
+  }
   [[nodiscard]] bool busy() const { return busy_; }
 
   /// Server utilisation over [0, now].
@@ -83,7 +86,12 @@ class ServiceStation {
 
   Simulator& simulator_;
   std::size_t capacity_;
-  std::deque<Pending> queue_;
+  /// FIFO of waiting items: a vector plus a read index, so a warm station
+  /// queues without allocating (a deque allocates a block every few
+  /// items). Served slots are reclaimed when the queue empties or the
+  /// served prefix outgrows the waiting tail.
+  std::vector<Pending> queue_;
+  std::size_t head_ = 0;
   bool busy_ = false;
   QueueStats stats_;
 };

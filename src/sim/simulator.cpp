@@ -25,13 +25,13 @@ void Simulator::post(EventQueue::Handler handler) {
 void Simulator::drain_posted() {
   // Fast exit without the lock: the flag is only set under the mutex.
   if (!posted_pending_.load(std::memory_order_acquire)) return;
-  std::vector<EventQueue::Handler> batch;
   {
     std::lock_guard<std::mutex> lock(posted_mutex_);
-    batch.swap(posted_);
+    draining_.swap(posted_);
     posted_pending_.store(false, std::memory_order_relaxed);
   }
-  for (auto& handler : batch) queue_.schedule_at(now_, std::move(handler));
+  for (auto& handler : draining_) queue_.schedule_at(now_, std::move(handler));
+  draining_.clear();
 }
 
 std::uint64_t Simulator::run() {

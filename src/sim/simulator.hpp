@@ -65,6 +65,8 @@ class Simulator {
   std::atomic<bool> posted_pending_{false};
   std::mutex posted_mutex_;
   std::vector<EventQueue::Handler> posted_;
+  /// drain_posted()'s swap partner: both vectors keep their capacity.
+  std::vector<EventQueue::Handler> draining_;
 };
 
 }  // namespace nnfv::sim

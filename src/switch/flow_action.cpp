@@ -27,15 +27,17 @@ std::string FlowAction::to_string() const {
 }
 
 ActionOutcome apply_actions(const std::vector<FlowAction>& actions,
-                            packet::PacketBuffer& frame) {
+                            packet::PacketBuffer& frame,
+                            std::vector<PortId>& outputs) {
   ActionOutcome outcome;
+  outputs.clear();
   // Replicated frames arrive as refcounted clones; header rewrites below
   // must not bleed into sibling replicas.
   frame.unshare();
   for (const FlowAction& action : actions) {
     switch (action.type) {
       case FlowAction::Type::kOutput:
-        outcome.outputs.push_back(action.port);
+        outputs.push_back(action.port);
         break;
       case FlowAction::Type::kPushVlan:
       case FlowAction::Type::kSetVlan:

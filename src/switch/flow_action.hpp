@@ -58,19 +58,21 @@ struct FlowAction {
 
 /// Result of running an action list over one packet.
 struct ActionOutcome {
-  /// Egress ports, in action order (a packet may be replicated).
-  std::vector<PortId> outputs;
   bool to_controller = false;
   bool dropped = false;
 };
 
 /// Applies `actions` to `frame` in order, mutating it (VLAN/MAC rewrites).
+/// Output actions append their egress port to `outputs` (cleared first),
+/// in action order — a packet may be replicated. The caller owns the
+/// list, so a burst loop that reuses one list allocates at most once.
 /// Output actions record the egress port with the packet state *at that
-/// point*; since we return one mutated frame, rewrites that follow an output
-/// also affect earlier outputs — the steering manager never generates such
-/// lists (rewrites always precede outputs), and apply_actions documents the
-/// limitation rather than cloning per output.
+/// point*; since there is one mutated frame, rewrites that follow an
+/// output also affect earlier outputs — the steering manager never
+/// generates such lists (rewrites always precede outputs), and
+/// apply_actions documents the limitation rather than cloning per output.
 ActionOutcome apply_actions(const std::vector<FlowAction>& actions,
-                            packet::PacketBuffer& frame);
+                            packet::PacketBuffer& frame,
+                            std::vector<PortId>& outputs);
 
 }  // namespace nnfv::nfswitch

@@ -4,6 +4,20 @@
 
 namespace nnfv::nfswitch {
 
+namespace {
+
+/// Adds the tally's run of hits to the entry it belongs to and starts an
+/// empty run.
+void flush_run(LookupTally& tally) {
+  if (tally.entry == nullptr) return;
+  tally.entry->stats.packets += tally.entry_packets;
+  tally.entry->stats.bytes += tally.entry_bytes;
+  tally.entry_packets = 0;
+  tally.entry_bytes = 0;
+}
+
+}  // namespace
+
 void FlowTable::touch() {
   // invalidates every microflow-cache slot (of every worker) at once
   generation_.fetch_add(1, std::memory_order_release);
@@ -101,7 +115,16 @@ FlowEntry* FlowTable::lookup(const FlowContext& ctx,
 
 FlowEntry* FlowTable::lookup_key(const FlowKeyView& key,
                                  std::size_t packet_bytes) {
-  ++cache_lookups_;
+  LookupTally tally;
+  FlowEntry* entry = lookup_key(key, packet_bytes, tally);
+  publish(tally);
+  return entry;
+}
+
+FlowEntry* FlowTable::lookup_key(const FlowKeyView& key,
+                                 std::size_t packet_bytes,
+                                 LookupTally& tally) {
+  ++tally.lookups;
   // Each worker slot owns its cache outright (allocated on first use by
   // the owning thread), so slot probes and fills are unsynchronized.
   auto& cache = caches_[exec::current_worker_slot()];
@@ -113,7 +136,7 @@ FlowEntry* FlowTable::lookup_key(const FlowKeyView& key,
   CacheSlot& slot = (*cache)[key.hash() & (kCacheSlots - 1)];
   FlowEntry* entry = nullptr;
   if (slot.generation == generation && slot.key == key) {
-    ++cache_hits_;
+    ++tally.hits;
     entry = slot.entry;
   } else {
     entry = classify(key);
@@ -122,12 +145,24 @@ FlowEntry* FlowTable::lookup_key(const FlowKeyView& key,
     slot.entry = entry;
   }
   if (entry == nullptr) {
-    ++misses_;
+    ++tally.misses;
     return nullptr;
   }
-  entry->stats.packets += 1;
-  entry->stats.bytes += packet_bytes;
+  if (entry != tally.entry) {
+    flush_run(tally);
+    tally.entry = entry;
+  }
+  ++tally.entry_packets;
+  tally.entry_bytes += packet_bytes;
   return entry;
+}
+
+void FlowTable::publish(LookupTally& tally) {
+  if (tally.lookups != 0) cache_lookups_ += tally.lookups;
+  if (tally.hits != 0) cache_hits_ += tally.hits;
+  if (tally.misses != 0) misses_ += tally.misses;
+  flush_run(tally);
+  tally = LookupTally{};
 }
 
 const FlowEntry* FlowTable::peek(const FlowContext& ctx) const {

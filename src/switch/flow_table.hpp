@@ -59,6 +59,19 @@ struct FlowEntry {
   FlowEntryStats stats;
 };
 
+/// Counters of a run of lookups, kept by the caller and published into
+/// the table once (FlowTable::publish) instead of one atomic add per
+/// lookup and counter. Entry packets/bytes are run-length: consecutive
+/// hits on one entry accumulate here and flush when the entry changes.
+struct LookupTally {
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  FlowEntry* entry = nullptr;  ///< entry the run below belongs to
+  std::uint64_t entry_packets = 0;
+  std::uint64_t entry_bytes = 0;
+};
+
 /// Highest-priority-wins lookup; among equal priorities the earliest-added
 /// entry wins (OpenFlow leaves this undefined; we pin it for determinism).
 class FlowTable {
@@ -78,6 +91,15 @@ class FlowTable {
   /// Lookup on a pre-extracted key (burst path: the LSI decodes once and
   /// reuses the key for the cache probe and the classifier).
   FlowEntry* lookup_key(const FlowKeyView& key, std::size_t packet_bytes);
+
+  /// Same lookup, but the counters go to `tally` instead of the table;
+  /// they become visible at publish(). Publish before anything that may
+  /// mutate the table (a controller packet-in) or read its counters.
+  FlowEntry* lookup_key(const FlowKeyView& key, std::size_t packet_bytes,
+                        LookupTally& tally);
+
+  /// Adds `tally` to the table and entry counters and resets it.
+  void publish(LookupTally& tally);
 
   /// Lookup without stats update (diagnostics).
   [[nodiscard]] const FlowEntry* peek(const FlowContext& ctx) const;

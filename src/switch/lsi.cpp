@@ -78,16 +78,32 @@ void Lsi::receive(PortId port, packet::PacketBuffer&& frame) {
 void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
   auto it = ports_.find(port);
   if (it == ports_.end()) return;  // burst on a deleted port: drop
-  it->second.stats.rx_packets += burst.size();
-  for (const packet::PacketBuffer& frame : burst) {
-    it->second.stats.rx_bytes += frame.size();
-  }
+  PortStats& stats = it->second.stats;
+
+  // Counters are summed per burst and published once: one atomic add per
+  // counter and burst instead of one per counter and packet.
+  std::uint64_t rx_bytes = 0;
+  std::uint64_t control = 0;
+  std::uint64_t bulk = 0;
+  LookupTally tally;
+  // Publishes everything counted so far; runs before the controller sees
+  // a packet (it may read counters or mutate the table) and at the end.
+  auto publish = [&] {
+    stats.rx_bytes += rx_bytes;
+    stats.rx_control += control;
+    stats.rx_bulk += bulk;
+    rx_bytes = control = bulk = 0;
+    table_.publish(tally);
+  };
+  stats.rx_packets += burst.size();
   processed_ += burst.size();
 
   // Survivors grouped per egress port, same-port order preserved.
-  packet::BurstGroups<PortId> out;
+  packet::BurstGroups<PortId> out(burst.size());
+  std::vector<PortId> outputs;
 
   for (packet::PacketBuffer& frame : burst) {
+    rx_bytes += frame.size();
     auto fields = packet::extract_flow_fields(frame.data());
     if (!fields) {
       NNFV_LOG(kDebug, "lsi") << name_ << ": unparseable frame dropped";
@@ -97,29 +113,33 @@ void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
     // only a rekey-ESP frame costs an extra peek (the SPI).
     if (exec::classify_priority(fields.value(), frame.data()) ==
         exec::FramePriority::kControl) {
-      it->second.stats.rx_control += 1;
+      ++control;
     } else {
-      it->second.stats.rx_bulk += 1;
+      ++bulk;
     }
     FlowContext ctx{port, fields.value()};
-    FlowEntry* entry =
-        table_.lookup_key(FlowKeyView::from_context(ctx), frame.size());
+    FlowEntry* entry = table_.lookup_key(FlowKeyView::from_context(ctx),
+                                         frame.size(), tally);
     if (entry == nullptr) {
       if (controller_ != nullptr) {
+        publish();
         controller_->on_packet_in(*this, port, frame);
       }
       continue;
     }
-    ActionOutcome outcome = apply_actions(entry->actions, frame);
+    const ActionOutcome outcome =
+        apply_actions(entry->actions, frame, outputs);
     if (outcome.to_controller && controller_ != nullptr) {
+      publish();
       controller_->on_packet_in(*this, port, frame);
     }
-    if (outcome.dropped || outcome.outputs.empty()) continue;
-    for (std::size_t i = 0; i + 1 < outcome.outputs.size(); ++i) {
-      out.add(outcome.outputs[i], frame.clone());
+    if (outcome.dropped || outputs.empty()) continue;
+    for (std::size_t i = 0; i + 1 < outputs.size(); ++i) {
+      out.add(outputs[i], frame.clone());
     }
-    out.add(outcome.outputs.back(), std::move(frame));
+    out.add(outputs.back(), std::move(frame));
   }
+  publish();
   burst.clear();
 
   for (auto& [p, group] : out) transmit_burst(p, std::move(group));
@@ -150,10 +170,10 @@ void Lsi::transmit_burst(PortId port, packet::PacketBurst&& burst) {
   auto it = ports_.find(port);
   if (it == ports_.end()) return;
   Port& p = it->second;
+  std::uint64_t bytes = 0;
+  for (const packet::PacketBuffer& frame : burst) bytes += frame.size();
   p.stats.tx_packets += burst.size();
-  for (const packet::PacketBuffer& frame : burst) {
-    p.stats.tx_bytes += frame.size();
-  }
+  p.stats.tx_bytes += bytes;
   if (p.burst_peer) {
     p.burst_peer(std::move(burst));
     return;

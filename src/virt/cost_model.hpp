@@ -1,7 +1,9 @@
 // Per-backend datapath cost models.
 //
-// This is the calibrated substitute for the paper's physical CPE (see
-// DESIGN.md §2). An NF's per-packet service time is
+// This is the calibrated substitute for the paper's physical CPE: the
+// simulated clock of every NF instance advances by these costs, while the
+// real code runs in wall-clock time (nfbench/README.md compares the two).
+// An NF's per-packet service time is
 //
 //   T(bytes) = path_fixed(backend) + nf_fixed
 //            + bytes * (nf_per_byte * cpu_factor(backend)
@@ -16,10 +18,12 @@
 //   independent of where it runs — this is exactly the paper's observation
 //   that the same Strongswan code performs differently per flavor.
 //
-// Calibration (documented in EXPERIMENTS.md): nf profile "ipsec-esp" is set
-// so the *native* flavor reproduces Table 1's 1094 Mbps on a 1450-byte
-// frame; VM constants are structural (exit + copy costs), not fitted to the
-// paper's VM row — landing near 796 Mbps is then a model prediction.
+// Calibration (the derivation is at profile_ipsec_esp() in
+// cost_model.cpp): nf profile "ipsec-esp" is set so the *native* flavor
+// reproduces Table 1's 1094 Mbps on a 1450-byte frame; VM constants are
+// structural (exit + copy costs), not fitted to the paper's VM row —
+// landing near 796 Mbps is then a model prediction, which
+// bench_table1_ipsec checks.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
-// Adaptation-layer burst coverage (ISSUE 3): a single-interface NNF
-// behind the layer receives an N-frame burst as ONE process_burst call,
-// per-packet subclasses still see N ordered process() calls, and the
-// IpsecEndpoint burst override matches the per-packet path bit-for-bit.
+// Adaptation-layer burst coverage: a single-interface NNF behind the
+// layer receives an N-frame burst as ONE process_burst call, a single
+// frame is a burst of 1, and IpsecEndpoint bursts match one-frame calls
+// bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -30,21 +30,24 @@ std::uint8_t frame_tag(const packet::PacketBuffer& frame) {
   return frame.data()[frame.size() - 1];  // last payload byte
 }
 
-/// Per-packet NF: relies on the NetworkFunction::process_burst shim.
-/// Records every process() call and echoes the frame out of port 0.
-class PerPacketNf : public NetworkFunction {
+/// Records every process_burst() call and every frame it carries, and
+/// echoes each frame out of port 0.
+class BurstNf : public NetworkFunction {
  public:
   [[nodiscard]] std::string_view type() const override { return "recorder"; }
   [[nodiscard]] std::size_t num_ports() const override { return 2; }
   util::Status configure(ContextId, const NfConfig&) override {
     return util::Status::ok();
   }
-  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                sim::SimTime,
-                                packet::PacketBuffer&& frame) override {
-    calls.push_back({ctx, in_port, frame_tag(frame)});
+  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
+                                      sim::SimTime,
+                                      packet::PacketBurst&& burst) override {
+    burst_sizes.push_back(burst.size());
     std::vector<NfOutput> out;
-    out.push_back(NfOutput{0, std::move(frame)});
+    for (packet::PacketBuffer& frame : burst) {
+      calls.push_back({ctx, in_port, frame_tag(frame)});
+      out.push_back(NfOutput{0, std::move(frame)});
+    }
     return out;
   }
 
@@ -54,17 +57,6 @@ class PerPacketNf : public NetworkFunction {
     std::uint8_t tag;
   };
   std::vector<Call> calls;
-};
-
-/// Burst-aware NF: overrides process_burst and counts whole-burst calls.
-class BurstNf : public PerPacketNf {
- public:
-  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
-                                      sim::SimTime now,
-                                      packet::PacketBurst&& burst) override {
-    burst_sizes.push_back(burst.size());
-    return PerPacketNf::process_burst(ctx, in_port, now, std::move(burst));
-  }
   std::vector<std::size_t> burst_sizes;
 };
 
@@ -85,21 +77,25 @@ TEST(AdaptationBurst, BurstNfSeesOneCallPerPathGroup) {
   EXPECT_EQ(layer.stats().out_frames, 5u);
 }
 
-TEST(AdaptationBurst, PerPacketNfSeesOrderedIndividualCalls) {
-  PerPacketNf nf;
+TEST(AdaptationBurst, SingleFrameIsABurstOfOne) {
+  BurstNf nf;
   AdaptationLayer layer(nf);
   ASSERT_TRUE(layer.bind(kDefaultContext, 0, 100).is_ok());
+  std::size_t transmits = 0;
+  layer.set_transmit([&](packet::PacketBuffer&&) { ++transmits; });
 
-  packet::PacketBurst burst;
-  for (std::uint8_t i = 0; i < 8; ++i) burst.push_back(tagged_frame(100, i));
-  layer.receive_burst(0, std::move(burst));
+  // Both single-frame entry points reach the NF as process_burst of 1.
+  layer.receive(0, tagged_frame(100, 7));
+  auto direct = nf.process(kDefaultContext, 1, 0, tagged_frame(100, 8));
 
-  // The default shim unrolled the burst: 8 calls, arrival order intact.
-  ASSERT_EQ(nf.calls.size(), 8u);
-  for (std::uint8_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(nf.calls[i].tag, i);
-    EXPECT_EQ(nf.calls[i].port, 0u);
-  }
+  ASSERT_EQ(nf.burst_sizes, (std::vector<std::size_t>{1, 1}));
+  ASSERT_EQ(nf.calls.size(), 2u);
+  EXPECT_EQ(nf.calls[0].tag, 7);
+  EXPECT_EQ(nf.calls[0].port, 0u);
+  EXPECT_EQ(nf.calls[1].tag, 8);
+  EXPECT_EQ(nf.calls[1].port, 1u);
+  EXPECT_EQ(transmits, 1u);
+  EXPECT_EQ(direct.size(), 1u);
 }
 
 TEST(AdaptationBurst, MixedMarksGroupPerPathAndKeepOrder) {
