@@ -73,7 +73,8 @@ class GcmContext {
   /// backend's batched gcm_crypt_mb kernel in groups of up to
   /// CryptoBackend::kMaxMbLanes, with the per-lane E_K(J0) tag masks
   /// batched into one AES call per group. Bit-identical to calling
-  /// seal() once per lane — the batching is pure scheduling. Fails (and
+  /// seal() once per lane — the batching is pure scheduling; a one-lane
+  /// call (and likewise for open_mb) runs seal() itself. Fails (and
   /// touches nothing) if any lane's IV is not kIvSize bytes.
   util::Status seal_mb(const GcmMbOp* ops, std::size_t nops) const;
 
@@ -128,8 +129,9 @@ util::Result<std::vector<std::uint8_t>> aes_ctr_crypt(
     std::span<const std::uint8_t> data);
 
 /// Raw CBC without padding — the caller guarantees data.size() % 16 == 0.
-/// ESP manages its own trailer padding (RFC 4303 §2.4), so the IPsec NF
-/// uses these instead of the PKCS#7 variants.
+/// Allocating reference variants for tests and benches; the IPsec NF pads
+/// its own ESP trailer (RFC 4303 §2.4) and runs the backend's in-place
+/// cbc_encrypt/cbc_decrypt.
 util::Result<std::vector<std::uint8_t>> aes_cbc_encrypt_raw(
     const Aes& aes, std::span<const std::uint8_t> iv,
     std::span<const std::uint8_t> plaintext);

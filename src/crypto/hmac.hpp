@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
 
 namespace nnfv::crypto {
@@ -64,7 +63,6 @@ class Hmac {
 };
 
 using HmacSha256 = Hmac<Sha256>;
-using HmacSha1 = Hmac<Sha1>;
 
 /// Constant-time comparison for MAC verification (no early exit).
 bool constant_time_equal(std::span<const std::uint8_t> a,

@@ -75,14 +75,12 @@ util::Status parse_count(const std::string& key, const std::string& value,
 }
 
 /// Deterministic unpredictable IV: AES-encrypt the (SPI, seq) block.
-std::array<std::uint8_t, 16> derive_iv(const crypto::Aes& aes,
-                                       std::uint32_t spi, std::uint64_t seq) {
+void derive_iv(const crypto::Aes& aes, std::uint32_t spi, std::uint64_t seq,
+               std::uint8_t iv[16]) {
   std::uint8_t block[16] = {};
   util::store_be32(block, spi);
   util::store_be64(block + 8, seq);
-  std::array<std::uint8_t, 16> iv{};
-  aes.encrypt_block(block, iv.data());
-  return iv;
+  aes.encrypt_block(block, iv);
 }
 
 /// RFC 4304 Appendix A seq-hi recovery: given the 32-bit seq-lo off the
@@ -139,6 +137,53 @@ void gcm_nonce(const SecurityAssociation& sa,
   util::store_be32(nonce, util::load_be32(salt.data()) ^ sa.spi);
   std::memcpy(nonce + 4, iv, 8);
 }
+
+/// cbc-hmac ICV over ESP header + IV + the `ct_len` ciphertext bytes at
+/// `ciphertext` (RFC 4303 §2.8); with ESN the 32-bit seq-hi is appended to
+/// the authenticated data but never transmitted (RFC 4303 §2.2.1), so a
+/// wrong recovery fails here.
+std::array<std::uint8_t, crypto::HmacSha256::kDigestSize> esp_hmac(
+    const crypto::HmacSha256& tmpl, const SecurityAssociation& sa,
+    std::uint64_t seq, const std::uint8_t* ciphertext, std::size_t ct_len) {
+  constexpr std::size_t kPrefix =
+      packet::kEspHeaderSize + IpsecEndpoint::kIvSize;
+  crypto::HmacSha256 hmac = tmpl;
+  hmac.update({ciphertext - kPrefix, kPrefix + ct_len});
+  if (sa.esn) {
+    std::uint8_t hi[4];
+    util::store_be32(hi, static_cast<std::uint32_t>(seq >> 32));
+    hmac.update(hi);
+  }
+  return hmac.final();
+}
+
+constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
+
+/// One frame of a lane array, rebuilt in place in its pooled segment. The
+/// segment does not move with the PacketBuffer handle, so the offsets stay
+/// valid while up to kLanes frames queue for one batched crypto pass.
+struct EspLane {
+  packet::PacketBuffer frame;
+  std::uint64_t seq = 0;
+  std::size_t pt_off = 0;  ///< payload start (plaintext or ciphertext)
+  std::size_t pt_len = 0;  ///< payload incl. ESP trailer, excl. ICV
+  std::size_t inner_size = 0;  ///< encap: inner IP bytes (lifetime usage)
+  std::uint8_t nonce[crypto::GcmContext::kIvSize] = {};  ///< GCM only
+  std::uint8_t aad[12] = {};                             ///< GCM only
+  std::size_t aad_len = 0;
+
+  std::uint8_t* payload() { return frame.data().data() + pt_off; }
+
+  /// The lane as a seal_mb/open_mb op: in place over the payload, with
+  /// the tag right behind it.
+  crypto::GcmMbOp gcm_op() {
+    return {{nonce, sizeof(nonce)},
+            {aad, aad_len},
+            {payload(), pt_len},
+            payload(),
+            payload() + pt_len};
+  }
+};
 
 bool soft_expired(const SaLifetime& lt, const SecurityAssociation& sa) {
   if (lt.soft_packets != 0 && sa.packets >= lt.soft_packets) return true;
@@ -251,10 +296,6 @@ util::Status IpsecEndpoint::configure(ContextId ctx, const NfConfig& config) {
     } else if (key == "enc_key") {
       NNFV_RETURN_IF_ERROR(parse_enc_key(value, tunnel.keymat->enc_key,
                                          tunnel.keymat->salt));
-      tunnel.out_sa.enc_key = tunnel.keymat->enc_key;
-      tunnel.out_sa.salt = tunnel.keymat->salt;
-      tunnel.in_sa.enc_key = tunnel.keymat->enc_key;
-      tunnel.in_sa.salt = tunnel.keymat->salt;
       tunnel.keymat->have_enc_key = true;
     } else if (key == "esp_transform") {
       if (value == "gcm") {
@@ -275,8 +316,6 @@ util::Status IpsecEndpoint::configure(ContextId ctx, const NfConfig& config) {
       tunnel.in_sa.esn = tunnel.out_sa.esn;
     } else if (key == "auth_key") {
       NNFV_RETURN_IF_ERROR(parse_key(value, tunnel.keymat->auth_key));
-      tunnel.out_sa.auth_key = tunnel.keymat->auth_key;
-      tunnel.in_sa.auth_key = tunnel.keymat->auth_key;
     } else if (key == "life_soft_packets") {
       NNFV_RETURN_IF_ERROR(
           parse_count(key, value, tunnel.lifetime.soft_packets));
@@ -403,12 +442,6 @@ util::Status IpsecEndpoint::stage_rekey(ContextId ctx, Tunnel& tunnel,
   NNFV_RETURN_IF_ERROR(staged.keymat->prepare());
   staged.out_sa.esn = tunnel.out_sa.esn;
   staged.in_sa.esn = tunnel.in_sa.esn;
-  staged.out_sa.enc_key = staged.keymat->enc_key;
-  staged.out_sa.salt = staged.keymat->salt;
-  staged.out_sa.auth_key = staged.keymat->auth_key;
-  staged.in_sa.enc_key = staged.keymat->enc_key;
-  staged.in_sa.salt = staged.keymat->salt;
-  staged.in_sa.auth_key = staged.keymat->auth_key;
   // Restaging replaces a pending (not yet cut over) rekey.
   if (tunnel.staged) sad_erase(ctx, tunnel.staged->in_sa.spi);
   sad_insert(ctx, staged.in_sa.spi, SadSlot::kStaged);
@@ -515,39 +548,6 @@ bool IpsecEndpoint::fast_path_ok(const Tunnel& tunnel, NfPortIndex in_port,
     if (tunnel.in_sa.state != SaState::kActive) return false;
   }
   return true;
-}
-
-void IpsecEndpoint::encapsulate(ContextId ctx, Tunnel& tunnel,
-                                sim::SimTime now,
-                                packet::PacketBuffer&& frame,
-                                std::vector<NfOutput>& out) {
-  SecurityAssociation* sa = outbound_gate(ctx, tunnel, now);
-  if (sa == nullptr) return;
-  if (tunnel.transform == EspTransform::kGcm) {
-    encapsulate_gcm(tunnel, *sa, std::move(frame), out);
-  } else {
-    encapsulate_cbc(tunnel, *sa, std::move(frame), out);
-  }
-}
-
-void IpsecEndpoint::decapsulate(ContextId ctx, Tunnel& tunnel,
-                                packet::PacketBuffer&& frame,
-                                std::vector<NfOutput>& out) {
-  const std::size_t min_esp_payload =
-      tunnel.transform == EspTransform::kGcm
-          ? packet::kEspHeaderSize + kGcmIvSize + 2 + kGcmIcvSize
-          : packet::kEspHeaderSize + kIvSize + crypto::Aes::kBlockSize +
-                kIcvSize;
-  // Decryption happens in place over the ciphertext region, so the
-  // ingress spans must point into a privately owned segment.
-  frame.unshare();
-  auto ingress = parse_esp_ingress(ctx, tunnel, frame, min_esp_payload);
-  if (!ingress) return;
-  if (tunnel.transform == EspTransform::kGcm) {
-    decapsulate_gcm(tunnel, *ingress, std::move(frame), out);
-  } else {
-    decapsulate_cbc(tunnel, *ingress, std::move(frame), out);
-  }
 }
 
 std::optional<std::span<const std::uint8_t>> IpsecEndpoint::parse_inner_ipv4(
@@ -658,9 +658,8 @@ std::optional<IpsecEndpoint::EspIngress> IpsecEndpoint::parse_esp_ingress(
     ++stats_shard().lifetime_drops;
     return std::nullopt;
   }
-  // One recovery per packet: the 64-bit sequence inferred here is reused
-  // for the AAD/ICV input and the replay update by every caller (serial
-  // and multi-buffer paths alike).
+  // The 64-bit sequence inferred here feeds both the AAD/ICV input and
+  // the replay update.
   const std::uint64_t seq =
       sa->esn ? esn_recover_seq(*sa, esp->sequence) : esp->sequence;
   const std::size_t esp_off =
@@ -712,405 +711,224 @@ void IpsecEndpoint::emit_inner(const Tunnel& tunnel,
   out.push_back(NfOutput{0, std::move(inner)});
 }
 
-void IpsecEndpoint::encapsulate_cbc(Tunnel& tunnel, SecurityAssociation& sa,
-                                    packet::PacketBuffer&& frame,
-                                    std::vector<NfOutput>& out) {
-  // The frame is rebuilt in place; a flooded replica goes private first.
-  frame.unshare();
-  auto inner = parse_inner_ipv4(frame);
-  if (!inner) return;
+// Both transforms share one frame layout and one gather loop per
+// direction:
+//
+//   Eth | outer IPv4 | ESP | IV | payload | pad | pad_len | nh | ICV(16)
+//
+// "gcm" (RFC 4106 shape): the 8-byte explicit IV is the 64-bit sequence
+// counter, the trailer pads to 4 bytes, and the nonce is
+// (salt ^ SPI)(4) || IV(8) — a deliberate deviation from RFC 4106's
+// plain salt || IV, needed because both directions share one enc_key here
+// (see gcm_nonce(); a conforming peer with per-SA keymat would not
+// interoperate). The AAD is the ESP header, widened under ESN.
+// "cbc-hmac": the 16-byte IV is derive_iv(SPI, seq), the trailer pads to
+// the cipher block, and HMAC-SHA256-128 covers ESP header + IV +
+// ciphertext.
+//
+// Frames are rebuilt where they sit in their pooled segments and gathered
+// into lane arrays of up to kLanes: GCM lanes go through one seal_mb /
+// open_mb batch, CBC lanes through in-place CBC + HMAC one by one. The
+// lifecycle path gathers one lane at a time, so every lifecycle check
+// sees the state the previous frame left behind.
 
-  // Claim this packet's sequence number atomically: workers sharing the
-  // SA each get a unique value.
-  const std::uint64_t seq = ++sa.seq;
-  const std::size_t inner_size = inner->size();
+void IpsecEndpoint::encapsulate(ContextId ctx, Tunnel& tunnel,
+                                sim::SimTime now, bool lifecycle,
+                                packet::PacketBurst& burst,
+                                std::vector<NfOutput>& out) {
+  const bool gcm = tunnel.transform == EspTransform::kGcm;
+  const std::size_t max_lanes = lifecycle ? 1 : kLanes;
+  const std::size_t iv_size = gcm ? kGcmIvSize : kIvSize;
+  // GCM is a stream mode, so padding only has to satisfy the RFC 4303
+  // 4-byte alignment of (payload | pad_len | next_header); CBC pads to
+  // whole cipher blocks.
+  const std::size_t align = gcm ? 4 : crypto::Aes::kBlockSize;
+  const std::size_t pt_off = kEspOffset + packet::kEspHeaderSize + iv_size;
+  SecurityAssociation& sa = tunnel.out_sa;
+  EspLane lanes[kLanes];
+  std::size_t n = 0;
 
-  // ESP trailer: pad so (inner + pad + 2) is a multiple of the block size;
-  // pad bytes are 1,2,3,... (RFC 4303 §2.4).
-  const std::size_t block = crypto::Aes::kBlockSize;
-  const std::size_t pad = (block - (inner_size + 2) % block) % block;
-  std::vector<std::uint8_t> plaintext(inner->begin(), inner->end());
-  for (std::size_t i = 1; i <= pad; ++i) {
-    plaintext.push_back(static_cast<std::uint8_t>(i));
-  }
-  plaintext.push_back(static_cast<std::uint8_t>(pad));
-  plaintext.push_back(4);  // next header: IPv4 (tunnel mode)
-
-  Keymat& keymat = *tunnel.keymat;
-  const auto iv = derive_iv(*keymat.cipher, sa.spi, seq);
-  auto ciphertext = crypto::aes_cbc_encrypt_raw(*keymat.cipher, iv, plaintext);
-  if (!ciphertext) {
-    ++stats_shard().malformed;
-    return;
-  }
-
-  // Reassemble Eth | outer IPv4 | ESP | IV | ciphertext | ICV into the
-  // input frame's own segment (inner bytes were staged into `plaintext`
-  // above — CBC is not length-preserving in place the way GCM is).
-  const std::size_t esp_payload =
-      packet::kEspHeaderSize + kIvSize + ciphertext->size() + kIcvSize;
-  frame.reset();
-  auto buf = frame.push_back(kEspOffset + esp_payload);
-  write_outer_headers(tunnel, sa, seq, esp_payload, buf);
-  std::memcpy(buf.data() + kEspOffset + packet::kEspHeaderSize, iv.data(),
-              kIvSize);
-  std::memcpy(buf.data() + kEspOffset + packet::kEspHeaderSize + kIvSize,
-              ciphertext->data(), ciphertext->size());
-
-  // ICV over ESP header + IV + ciphertext (RFC 4303 §2.8); with ESN the
-  // 32-bit seq-hi is appended to the authenticated data but never
-  // transmitted (RFC 4303 §2.2.1).
-  const std::size_t auth_len =
-      packet::kEspHeaderSize + kIvSize + ciphertext->size();
-  crypto::HmacSha256 hmac = *keymat.hmac_tmpl;
-  hmac.update(buf.subspan(kEspOffset, auth_len));
-  if (sa.esn) {
-    std::uint8_t hi[4];
-    util::store_be32(hi, static_cast<std::uint32_t>(seq >> 32));
-    hmac.update(hi);
-  }
-  const auto icv = hmac.final();
-  std::memcpy(buf.data() + kEspOffset + auth_len, icv.data(), kIcvSize);
-
-  ++sa.packets;
-  sa.bytes += inner_size;
-  ++stats_shard().encapsulated;
-  out.push_back(NfOutput{1, std::move(frame)});
-}
-
-void IpsecEndpoint::decapsulate_cbc(Tunnel& tunnel, EspIngress ingress,
-                                    packet::PacketBuffer&& frame,
-                                    std::vector<NfOutput>& out) {
-  SecurityAssociation& sa = *ingress.sa;
-  Keymat& keymat = *ingress.keymat;
-  auto esp_area = ingress.esp_area;
-
-  // Verify ICV first (constant time), then replay, then decrypt. Under
-  // ESN the recovered seq-hi joins the authenticated data (implicit
-  // suffix, RFC 4303 §2.2.1) — a wrong recovery fails right here.
-  const std::size_t auth_len = esp_area.size() - kIcvSize;
-  crypto::HmacSha256 hmac = *keymat.hmac_tmpl;
-  hmac.update(esp_area.subspan(0, auth_len));
-  if (sa.esn) {
-    std::uint8_t hi[4];
-    util::store_be32(hi, static_cast<std::uint32_t>(ingress.sequence >> 32));
-    hmac.update(hi);
-  }
-  const auto expected = hmac.final();
-  if (!crypto::constant_time_equal({expected.data(), kIcvSize},
-                                   esp_area.subspan(auth_len, kIcvSize))) {
-    ++sa.auth_fail;
-    ++stats_shard().auth_failures;
-    return;
-  }
-  if (!replay_check_and_update(sa, ingress.sequence)) {
-    ++sa.replay_drops;
-    ++stats_shard().replay_drops;
-    return;
-  }
-
-  auto iv = esp_area.subspan(packet::kEspHeaderSize, kIvSize);
-  auto ciphertext = esp_area.subspan(
-      packet::kEspHeaderSize + kIvSize,
-      auth_len - packet::kEspHeaderSize - kIvSize);
-  auto plaintext =
-      crypto::aes_cbc_decrypt_raw(*keymat.cipher, iv, ciphertext);
-  if (!plaintext) {
-    ++sa.malformed;
-    ++stats_shard().malformed;
-    return;
-  }
-  // Rebuild the decrypted payload into the frame's own segment (the CBC
-  // helper stages through a vector); the vacated outer-header space
-  // becomes the headroom emit_inner prepends the Ethernet header into.
-  frame.reset();
-  auto dst = frame.push_back(plaintext->size());
-  std::memcpy(dst.data(), plaintext->data(), plaintext->size());
-  emit_inner(tunnel, sa, std::move(frame), out);
-}
-
-// RFC 4106-shaped AES-GCM ESP: Eth | outer IPv4 | ESP | IV(8) |
-// ciphertext | ICV(16). The explicit IV is the 64-bit sequence counter;
-// the GCM nonce is (salt ^ SPI)(4) || IV(8) — a deliberate deviation
-// from RFC 4106's plain salt||IV, needed because both directions share
-// one enc_key here (see gcm_nonce(); a conforming peer with per-SA
-// keymat would not interoperate). The AAD is the 8-byte ESP header
-// (SPI, seq).
-// Encryption and authentication happen in one in-place seal() over the
-// output buffer — no separate HMAC pass, no plaintext staging copy, and
-// both CTR and GHASH pipeline across blocks on the hardware backend.
-bool IpsecEndpoint::encapsulate_gcm_prepare(Tunnel& tunnel,
-                                            SecurityAssociation& sa,
-                                            packet::PacketBuffer&& frame,
-                                            GcmEncapPrep& prep) {
-  // Headroom prepend + trailer append + in-place seal rebuild the frame
-  // where it sits; a flooded replica must go private first.
-  frame.unshare();
-  auto inner = parse_inner_ipv4(frame);
-  if (!inner) return false;
-
-  // Claim this packet's sequence number atomically: workers sharing the
-  // SA each get a unique value.
-  const std::uint64_t seq = ++sa.seq;
-  const std::size_t inner_size = inner->size();
-
-  // Reduce the view to the inner IP packet: drop the red-side Ethernet
-  // header and any Ethernet padding past total_length — pure offset
-  // adjustments on the pooled segment, the payload never moves.
-  const std::size_t eth_size =
-      static_cast<std::size_t>(inner->data() - frame.data().data());
-  frame.pull_front(eth_size);
-  frame.trim(inner_size);
-
-  // ESP trailer into the tailroom: GCM is a stream mode, so padding only
-  // has to satisfy the RFC 4303 4-byte alignment of
-  // (payload | pad_len | next_header).
-  const std::size_t pad = (4 - (inner_size + 2) % 4) % 4;
-  const std::size_t pt_len = inner_size + pad + 2;
-  std::uint8_t* trailer = frame.push_back(pad + 2).data();
-  for (std::size_t i = 1; i <= pad; ++i) {
-    trailer[i - 1] = static_cast<std::uint8_t>(i);
-  }
-  trailer[pad] = static_cast<std::uint8_t>(pad);
-  trailer[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
-
-  // Claim the headroom for Eth | outer IPv4 | ESP | IV (the red-side
-  // Ethernet header plus default headroom always covers it) and the
-  // tailroom for the ICV; the payload now sits where the seal reads and
-  // writes it.
-  const std::size_t esp_payload =
-      packet::kEspHeaderSize + kGcmIvSize + pt_len + kGcmIcvSize;
-  const std::size_t ct_off =
-      kEspOffset + packet::kEspHeaderSize + kGcmIvSize;
-  frame.push_front(ct_off);
-  frame.push_back(kGcmIcvSize);
-  auto buf = frame.data();
-  write_outer_headers(tunnel, sa, seq, esp_payload, buf);
-  util::store_be64(buf.data() + kEspOffset + packet::kEspHeaderSize, seq);
-
-  Keymat& keymat = *tunnel.keymat;
-  gcm_nonce(sa, keymat.salt, buf.data() + kEspOffset + packet::kEspHeaderSize,
-            prep.nonce);
-  // AAD: the ESP header, widened to SPI || seq-hi || seq-lo under ESN
-  // (without ESN the constructed bytes equal the wire header exactly).
-  prep.aad_len = esp_aad(sa, seq, prep.aad);
-  prep.ct_off = ct_off;
-  prep.pt_len = pt_len;
-  prep.inner_size = inner_size;
-  prep.frame = std::move(frame);
-  return true;
-}
-
-NfOutput IpsecEndpoint::encapsulate_gcm_finish(SecurityAssociation& sa,
-                                               GcmEncapPrep&& prep) {
-  ++sa.packets;
-  sa.bytes += prep.inner_size;
-  ++stats_shard().encapsulated;
-  return NfOutput{1, std::move(prep.frame)};
-}
-
-void IpsecEndpoint::encapsulate_gcm(Tunnel& tunnel, SecurityAssociation& sa,
-                                    packet::PacketBuffer&& frame,
-                                    std::vector<NfOutput>& out) {
-  GcmEncapPrep prep;
-  if (!encapsulate_gcm_prepare(tunnel, sa, std::move(frame), prep)) {
-    return;
-  }
-  auto buf = prep.frame.data();
-  // Encryption and authentication in one in-place seal() over the
-  // output buffer — no separate HMAC pass, no plaintext staging copy,
-  // and both CTR and GHASH pipeline across blocks on the hardware
-  // backend.
-  if (!tunnel.keymat->gcm
-           ->seal({prep.nonce, sizeof(prep.nonce)}, {prep.aad, prep.aad_len},
-                  buf.subspan(prep.ct_off, prep.pt_len),
-                  buf.data() + prep.ct_off,
-                  buf.data() + prep.ct_off + prep.pt_len)
-           .is_ok()) {
-    ++stats_shard().malformed;
-    return;
-  }
-  out.push_back(encapsulate_gcm_finish(sa, std::move(prep)));
-}
-
-void IpsecEndpoint::encapsulate_gcm_burst(Tunnel& tunnel,
-                                          SecurityAssociation& sa,
-                                          packet::PacketBurst& burst,
-                                          std::vector<NfOutput>& out) {
-  // Same-SA frames become independent seal_mb lanes: each packet keeps
-  // its own nonce/AAD/sequence (claimed in frame order, so the wire is
-  // bit-identical to the serial loop), while the batched kernel
-  // interleaves their AES streams — short packets no longer serialise
-  // on AESENC latency.
-  constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
-  Keymat& keymat = *tunnel.keymat;
-  std::size_t idx = 0;
-  while (idx < burst.size()) {
-    GcmEncapPrep preps[kLanes];
-    crypto::GcmMbOp ops[kLanes];
-    std::size_t n = 0;
-    while (idx < burst.size() && n < kLanes) {
-      GcmEncapPrep& prep = preps[n];
-      if (!encapsulate_gcm_prepare(tunnel, sa, std::move(burst[idx++]),
-                                   prep)) {
-        continue;  // dropped; parse failures leave no lane behind
+  // The one place encap crypto runs. Sequence numbers were claimed in
+  // frame order, so the wire is bit-identical whatever the lane count.
+  auto flush = [&] {
+    const Keymat& keymat = *tunnel.keymat;
+    if (gcm) {
+      crypto::GcmMbOp ops[kLanes];
+      for (std::size_t i = 0; i < n; ++i) ops[i] = lanes[i].gcm_op();
+      if (!keymat.gcm->seal_mb(ops, n).is_ok()) {
+        stats_shard().malformed += n;
+        n = 0;
+        return;
       }
-      auto buf = prep.frame.data();
-      ops[n] = crypto::GcmMbOp{{prep.nonce, sizeof(prep.nonce)},
-                               {prep.aad, prep.aad_len},
-                               {buf.data() + prep.ct_off, prep.pt_len},
-                               buf.data() + prep.ct_off,
-                               buf.data() + prep.ct_off + prep.pt_len};
-      ++n;
-    }
-    if (n == 0) continue;
-    if (!keymat.gcm->seal_mb(ops, n).is_ok()) {
-      stats_shard().malformed += n;
-      continue;
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        EspLane& lane = lanes[i];
+        std::uint8_t* payload = lane.payload();
+        crypto::active_backend().cbc_encrypt(*keymat.cipher, payload - kIvSize,
+                                             payload, payload, lane.pt_len);
+        const auto icv = esp_hmac(*keymat.hmac_tmpl, sa, lane.seq, payload,
+                                  lane.pt_len);
+        std::memcpy(payload + lane.pt_len, icv.data(), kIcvSize);
+      }
     }
     for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(encapsulate_gcm_finish(sa, std::move(preps[i])));
+      ++sa.packets;
+      sa.bytes += lanes[i].inner_size;
+      ++stats_shard().encapsulated;
+      out.push_back(NfOutput{1, std::move(lanes[i].frame)});
     }
-  }
-}
-
-void IpsecEndpoint::decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
-                                          packet::PacketBurst& burst,
-                                          std::vector<NfOutput>& out) {
-  constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
-  const std::size_t min_esp_payload =
-      packet::kEspHeaderSize + kGcmIvSize + 2 + kGcmIcvSize;
-
-  struct DecapPrep {
-    packet::PacketBuffer frame;
-    SecurityAssociation* sa = nullptr;
-    Keymat* keymat = nullptr;
-    std::uint64_t sequence = 0;
-    std::size_t pt_off = 0;
-    std::size_t ct_len = 0;
-    std::uint8_t nonce[crypto::GcmContext::kIvSize] = {};
-    std::uint8_t aad[12] = {};
-    std::size_t aad_len = 0;
+    n = 0;
   };
 
-  std::size_t idx = 0;
-  while (idx < burst.size()) {
-    DecapPrep preps[kLanes];
-    crypto::GcmMbOp ops[kLanes];
-    std::size_t n = 0;
-    while (idx < burst.size() && n < kLanes) {
-      packet::PacketBuffer frame = std::move(burst[idx]);
-      // Decryption happens in place over the ciphertext region, so the
-      // ingress spans must point into a privately owned segment.
-      frame.unshare();
-      auto ingress = parse_esp_ingress(ctx, tunnel, frame, min_esp_payload);
-      if (!ingress) {
-        ++idx;
-        continue;  // dropped and counted by the parser
-      }
-      // A batch shares one GcmContext: frames resolving to different
-      // keymat (a control SPI mid-burst) close the current group and
-      // start the next one.
-      if (n > 0 && ingress->keymat != preps[0].keymat) {
-        burst[idx] = std::move(frame);
-        break;
-      }
-      ++idx;
-      DecapPrep& prep = preps[n];
-      prep.sa = ingress->sa;
-      prep.keymat = ingress->keymat;
-      prep.sequence = ingress->sequence;
-      auto esp_area = ingress->esp_area;
-      gcm_nonce(*prep.sa, prep.keymat->salt,
-                esp_area.data() + packet::kEspHeaderSize, prep.nonce);
-      prep.aad_len = esp_aad(*prep.sa, prep.sequence, prep.aad);
-      prep.ct_len = esp_area.size() - packet::kEspHeaderSize - kGcmIvSize -
-                    kGcmIcvSize;
-      prep.pt_off = ingress->esp_off + packet::kEspHeaderSize + kGcmIvSize;
-      auto ciphertext =
-          esp_area.subspan(packet::kEspHeaderSize + kGcmIvSize, prep.ct_len);
-      auto icv = esp_area.subspan(esp_area.size() - kGcmIcvSize, kGcmIcvSize);
-      prep.frame = std::move(frame);
-      ops[n] = crypto::GcmMbOp{
-          {prep.nonce, sizeof(prep.nonce)},
-          {prep.aad, prep.aad_len},
-          ciphertext,
-          prep.frame.data().data() + prep.pt_off,
-          const_cast<std::uint8_t*>(icv.data())};
-      ++n;
+  for (packet::PacketBuffer& frame : burst) {
+    // The gate may cut over to the staged generation (new SA contents and
+    // keymat), hard-stop the SA or flag soft expiry; fast_path_ok already
+    // ruled all of that out for a steady-state burst.
+    if (lifecycle && outbound_gate(ctx, tunnel, now) == nullptr) continue;
+    // Headroom prepend + trailer append + in-place crypto rebuild the
+    // frame where it sits; a flooded replica must go private first.
+    frame.unshare();
+    auto inner = parse_inner_ipv4(frame);
+    if (!inner) continue;
+    EspLane& lane = lanes[n];
+    // Workers sharing the SA each claim a unique sequence number.
+    lane.seq = ++sa.seq;
+    lane.inner_size = inner->size();
+    // Reduce the view to the inner IP packet (drop the red-side Ethernet
+    // header and any padding past total_length), append the trailer
+    // (pad bytes 1, 2, 3, ... per RFC 4303 §2.4), then claim headroom for
+    // Eth | outer IPv4 | ESP | IV and tailroom for the ICV. Pure offset
+    // adjustments: the payload never moves.
+    frame.pull_front(
+        static_cast<std::size_t>(inner->data() - frame.data().data()));
+    frame.trim(lane.inner_size);
+    const std::size_t pad = (align - (lane.inner_size + 2) % align) % align;
+    std::uint8_t* trailer = frame.push_back(pad + 2).data();
+    for (std::size_t i = 1; i <= pad; ++i) {
+      trailer[i - 1] = static_cast<std::uint8_t>(i);
     }
-    if (n == 0) continue;
-    // Authenticate + decrypt every lane in one batched pass; forged
-    // lanes come back wiped and flagged. The ordered epilogue below then
-    // applies verdicts, replay checks and trailer stripping in frame
-    // order — the only state mutations, so semantics match the serial
-    // path packet for packet.
-    bool ok[kLanes];
-    (void)preps[0].keymat->gcm->open_mb(ops, n, ok);
-    for (std::size_t i = 0; i < n; ++i) {
-      DecapPrep& prep = preps[i];
-      SecurityAssociation& sa = *prep.sa;
-      if (!ok[i]) {
-        ++sa.auth_fail;
-        ++stats_shard().auth_failures;
-        continue;
-      }
-      if (!replay_check_and_update(sa, prep.sequence)) {
-        ++sa.replay_drops;
-        ++stats_shard().replay_drops;
-        continue;
-      }
-      prep.frame.pull_front(prep.pt_off);
-      prep.frame.trim(prep.ct_len);
-      emit_inner(tunnel, sa, std::move(prep.frame), out);
+    trailer[pad] = static_cast<std::uint8_t>(pad);
+    trailer[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
+    lane.pt_off = pt_off;
+    lane.pt_len = lane.inner_size + pad + 2;
+    frame.push_front(pt_off);
+    frame.push_back(kIcvSize);
+    auto buf = frame.data();
+    write_outer_headers(tunnel, sa, lane.seq, buf.size() - kEspOffset, buf);
+    std::uint8_t* iv = buf.data() + kEspOffset + packet::kEspHeaderSize;
+    const Keymat& keymat = *tunnel.keymat;
+    if (gcm) {
+      util::store_be64(iv, lane.seq);
+      gcm_nonce(sa, keymat.salt, iv, lane.nonce);
+      // Without ESN the AAD bytes equal the wire ESP header exactly.
+      lane.aad_len = esp_aad(sa, lane.seq, lane.aad);
+    } else {
+      derive_iv(*keymat.cipher, sa.spi, lane.seq, iv);
     }
+    lane.frame = std::move(frame);
+    if (++n == max_lanes) flush();
   }
+  if (n > 0) flush();
 }
 
-void IpsecEndpoint::decapsulate_gcm(Tunnel& tunnel, EspIngress ingress,
-                                    packet::PacketBuffer&& frame,
-                                    std::vector<NfOutput>& out) {
-  SecurityAssociation& sa = *ingress.sa;
-  Keymat& keymat = *ingress.keymat;
-  auto esp_area = ingress.esp_area;
+void IpsecEndpoint::decapsulate(ContextId ctx, Tunnel& tunnel,
+                                bool lifecycle, packet::PacketBurst& burst,
+                                std::vector<NfOutput>& out) {
+  const bool gcm = tunnel.transform == EspTransform::kGcm;
+  // ESN seq-hi recovery reads the replay window, so a frame must see every
+  // earlier frame's window update: ESN decap runs one lane, like the
+  // lifecycle path.
+  const std::size_t max_lanes = lifecycle || tunnel.in_sa.esn ? 1 : kLanes;
+  const std::size_t iv_size = gcm ? kGcmIvSize : kIvSize;
+  // ESP header + IV + the smallest payload (a bare trailer, or one cipher
+  // block for CBC) + ICV.
+  const std::size_t min_esp_payload =
+      packet::kEspHeaderSize + iv_size +
+      (gcm ? 2 : crypto::Aes::kBlockSize) + kIcvSize;
+  EspLane lanes[kLanes];
+  std::size_t n = 0;
+  // The pending lanes' SA: a lane array shares one SA, hence one keymat
+  // and one replay window.
+  SecurityAssociation* sa = nullptr;
+  Keymat* keymat = nullptr;
 
-  std::uint8_t nonce[crypto::GcmContext::kIvSize];
-  gcm_nonce(sa, keymat.salt, esp_area.data() + packet::kEspHeaderSize, nonce);
+  // The one place decap crypto runs: authenticate every lane, then apply
+  // verdicts, replay checks, CBC decryption and trailer stripping in frame
+  // order. The epilogue holds the only state mutations (auth is pure
+  // crypto), so a burst drops exactly what it would one frame at a time.
+  auto flush = [&] {
+    bool ok[kLanes];
+    if (gcm) {
+      crypto::GcmMbOp ops[kLanes];
+      for (std::size_t i = 0; i < n; ++i) ops[i] = lanes[i].gcm_op();
+      // Decrypts in place; forged lanes come back wiped and flagged, so
+      // nothing unauthenticated leaves, and one forgery does not poison
+      // its batch.
+      (void)keymat->gcm->open_mb(ops, n, ok);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        EspLane& lane = lanes[i];
+        const auto icv = esp_hmac(*keymat->hmac_tmpl, *sa, lane.seq,
+                                  lane.payload(), lane.pt_len);
+        ok[i] = crypto::constant_time_equal(
+            {icv.data(), kIcvSize}, {lane.payload() + lane.pt_len, kIcvSize});
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EspLane& lane = lanes[i];
+      if (!ok[i]) {
+        ++sa->auth_fail;
+        ++stats_shard().auth_failures;
+      } else if (!replay_check_and_update(*sa, lane.seq)) {
+        ++sa->replay_drops;
+        ++stats_shard().replay_drops;
+      } else if (!gcm && lane.pt_len % crypto::Aes::kBlockSize != 0) {
+        // CBC decrypts whole cipher blocks only; GCM is a stream mode.
+        ++sa->malformed;
+        ++stats_shard().malformed;
+      } else {
+        if (!gcm) {
+          std::uint8_t* payload = lane.payload();
+          crypto::active_backend().cbc_decrypt(*keymat->cipher,
+                                               payload - kIvSize, payload,
+                                               payload, lane.pt_len);
+        }
+        // The outer headers, ESP header and IV become headroom, the ICV
+        // falls off the tail.
+        lane.frame.pull_front(lane.pt_off);
+        lane.frame.trim(lane.pt_len);
+        emit_inner(tunnel, *sa, std::move(lane.frame), out);
+      }
+    }
+    n = 0;
+  };
 
-  const std::size_t ct_len = esp_area.size() - packet::kEspHeaderSize -
-                             kGcmIvSize - kGcmIcvSize;
-  auto ciphertext =
-      esp_area.subspan(packet::kEspHeaderSize + kGcmIvSize, ct_len);
-  auto icv = esp_area.subspan(esp_area.size() - kGcmIcvSize, kGcmIcvSize);
-
-  // Authenticate (tag over SPI || [recovered seq-hi ||] seq-lo +
-  // ciphertext) and decrypt in one pass, then replay-check, then strip
-  // the trailer. Under ESN the recovered high half is bound into the
-  // AAD here — the wire never carries it.
-  std::uint8_t aad[12];
-  const std::size_t aad_len = esp_aad(sa, ingress.sequence, aad);
-  // Decrypt in place: the plaintext overwrites the ciphertext region of
-  // the frame's own segment (gcm_crypt allows in == out). On auth
-  // failure open() wipes the half-written plaintext and the frame is
-  // dropped, so nothing unauthenticated ever leaves this function.
-  const std::size_t pt_off =
-      ingress.esp_off + packet::kEspHeaderSize + kGcmIvSize;
-  if (!keymat.gcm->open({nonce, sizeof(nonce)}, {aad, aad_len}, ciphertext,
-                        icv, frame.data().data() + pt_off)) {
-    ++sa.auth_fail;
-    ++stats_shard().auth_failures;
-    return;
+  for (packet::PacketBuffer& frame : burst) {
+    // Decryption happens in place over the ciphertext region, so the
+    // ingress spans must point into a privately owned segment.
+    frame.unshare();
+    auto ingress = parse_esp_ingress(ctx, tunnel, frame, min_esp_payload);
+    if (!ingress) continue;
+    if (n > 0 && ingress->sa != sa) flush();
+    sa = ingress->sa;
+    keymat = ingress->keymat;
+    EspLane& lane = lanes[n];
+    lane.seq = ingress->sequence;
+    lane.pt_off = ingress->esp_off + packet::kEspHeaderSize + iv_size;
+    lane.pt_len = ingress->esp_area.size() - packet::kEspHeaderSize -
+                  iv_size - kIcvSize;
+    if (gcm) {
+      gcm_nonce(*sa, keymat->salt,
+                ingress->esp_area.data() + packet::kEspHeaderSize,
+                lane.nonce);
+      // Under ESN the recovered seq-hi is bound into the AAD; the wire
+      // never carries it.
+      lane.aad_len = esp_aad(*sa, lane.seq, lane.aad);
+    }
+    lane.frame = std::move(frame);
+    if (++n == max_lanes) flush();
   }
-  if (!replay_check_and_update(sa, ingress.sequence)) {
-    ++sa.replay_drops;
-    ++stats_shard().replay_drops;
-    return;
-  }
-  // Decap is a pure view adjustment: the outer headers + ESP + IV
-  // become headroom, the ICV falls off the tail.
-  frame.pull_front(pt_off);
-  frame.trim(ct_len);
-  emit_inner(tunnel, sa, std::move(frame), out);
+  if (n > 0) flush();
 }
 
 std::vector<NfOutput> IpsecEndpoint::process_burst(
@@ -1118,64 +936,40 @@ std::vector<NfOutput> IpsecEndpoint::process_burst(
     packet::PacketBurst&& burst) {
   std::vector<NfOutput> out;
   if (burst.empty()) return out;
-  {
-    // Steady-state fast path for the whole burst under the shared lock;
-    // fast_path_ok is sized by the burst so no frame inside it can trip
-    // a lifecycle transition.
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (!has_context(ctx) || in_port >= 2) {
-      stats_shard().malformed += burst.size();
-      return out;
-    }
-    auto it = tunnels_.find(ctx);
-    if (it == tunnels_.end() || !it->second.configured) {
-      stats_shard().no_sa += burst.size();
-      return out;
-    }
-    Tunnel& tunnel = it->second;
-    if (fast_path_ok(tunnel, in_port, burst.size())) {
-      out.reserve(burst.size());
-      // GCM bursts take the multi-buffer lanes: up to kMaxMbLanes
-      // same-SA frames sealed/opened per batched backend call. Batched
-      // ESN decap is skipped — seq-hi recovery reads the replay window,
-      // and a burst crossing a 2^32 boundary must see each prior
-      // packet's window update (the serial loop's semantics).
-      if (tunnel.transform == EspTransform::kGcm && in_port == 0) {
-        encapsulate_gcm_burst(tunnel, tunnel.out_sa, burst, out);
-      } else if (tunnel.transform == EspTransform::kGcm &&
-                 !tunnel.in_sa.esn) {
-        decapsulate_gcm_burst(ctx, tunnel, burst, out);
-      } else {
-        for (packet::PacketBuffer& frame : burst) {
-          if (in_port == 0) {
-            encapsulate_cbc(tunnel, tunnel.out_sa, std::move(frame), out);
-          } else {
-            decapsulate(ctx, tunnel, std::move(frame), out);
-          }
-        }
-      }
-      burst.clear();
-      return out;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = tunnels_.find(ctx);
-  if (it == tunnels_.end() || !it->second.configured) {
-    stats_shard().no_sa += burst.size();
+  // Steady state runs the whole burst under the shared lock: counters are
+  // atomic, replay windows single-writer by RSS, and fast_path_ok is sized
+  // by the burst so no frame inside it can trip a lifecycle transition.
+  // Anything else retries under the exclusive lock, one lane at a time.
+  std::shared_lock<std::shared_mutex> shared(mutex_);
+  std::unique_lock<std::shared_mutex> exclusive(mutex_, std::defer_lock);
+  if (!has_context(ctx) || in_port >= 2) {
+    stats_shard().malformed += burst.size();
     return out;
   }
-  Tunnel& tunnel = it->second;
-  // Burst-amortised lifecycle sweep: the drain deadline cannot re-arm
-  // mid-burst (cutover inside the burst sets a deadline >= now), so one
-  // check up front covers every frame.
-  expire_draining(ctx, tunnel, now);
+  auto configured_tunnel = [&]() -> Tunnel* {
+    auto it = tunnels_.find(ctx);
+    if (it != tunnels_.end() && it->second.configured) return &it->second;
+    stats_shard().no_sa += burst.size();
+    return nullptr;
+  };
+  Tunnel* tunnel = configured_tunnel();
+  if (tunnel == nullptr) return out;
+  const bool lifecycle = !fast_path_ok(*tunnel, in_port, burst.size());
+  if (lifecycle) {
+    shared.unlock();
+    exclusive.lock();
+    tunnel = configured_tunnel();
+    if (tunnel == nullptr) return out;
+    // Burst-amortised lifecycle sweep: the drain deadline cannot re-arm
+    // mid-burst (cutover inside the burst sets a deadline >= now), so one
+    // check up front covers every frame.
+    expire_draining(ctx, *tunnel, now);
+  }
   out.reserve(burst.size());
-  for (packet::PacketBuffer& frame : burst) {
-    if (in_port == 0) {
-      encapsulate(ctx, tunnel, now, std::move(frame), out);
-    } else {
-      decapsulate(ctx, tunnel, std::move(frame), out);
-    }
+  if (in_port == 0) {
+    encapsulate(ctx, *tunnel, now, lifecycle, burst, out);
+  } else {
+    decapsulate(ctx, *tunnel, lifecycle, burst, out);
   }
   burst.clear();
   return out;

@@ -104,9 +104,6 @@ struct SaLifetime {
 /// ingress of one outer IP pair, hence one SPI, to one worker.
 struct SecurityAssociation {
   std::uint32_t spi = 0;
-  std::array<std::uint8_t, 16> enc_key{};   ///< AES-128
-  std::array<std::uint8_t, 4> salt{};       ///< GCM nonce salt (RFC 4106)
-  std::array<std::uint8_t, 32> auth_key{};  ///< HMAC-SHA256 (cbc-hmac)
   bool esn = false;  ///< RFC 4304 64-bit extended sequence numbers
   util::Relaxed<SaState> state = SaState::kActive;
   util::RelaxedCounter seq;  ///< last sent (out) sequence, full 64-bit
@@ -150,6 +147,7 @@ class IpsecEndpoint : public NetworkFunction {
   static constexpr std::size_t kIcvSize = 16;  ///< HMAC-SHA256-128
   static constexpr std::size_t kGcmIvSize = 8;   ///< RFC 4106 explicit IV
   static constexpr std::size_t kGcmIcvSize = 16;  ///< full GCM tag
+  static_assert(kIcvSize == kGcmIcvSize, "both transforms share one ICV size");
   static constexpr std::uint32_t kReplayWindow = 64;  ///< anti-replay slots
 
   IpsecEndpoint() = default;
@@ -304,13 +302,21 @@ class IpsecEndpoint : public NetworkFunction {
   SecurityAssociation* outbound_gate(ContextId ctx, Tunnel& tunnel,
                                      sim::SimTime now);
 
-  // encapsulate/decapsulate dispatch on the tunnel's transform. These
-  // and every helper below append their output (if any) to the caller's
-  // burst-wide `out`.
+  /// The one encap routine and the one decap routine, for both
+  /// transforms. Each gathers up to crypto::CryptoBackend::kMaxMbLanes
+  /// frames, rebuilt in place, into a lane array and flushes it through
+  /// one batched crypto pass (GCM seal_mb/open_mb, or in-place CBC + HMAC
+  /// per lane); decap then applies verdicts, replay checks, CBC
+  /// decryption and trailer stripping in frame order. `lifecycle` (the
+  /// burst failed fast_path_ok) runs one lane at a time, with
+  /// outbound_gate before every encap; so does ESN decap, whose seq-hi
+  /// recovery reads the replay window. Output is appended to the caller's
+  /// burst-wide `out`.
   void encapsulate(ContextId ctx, Tunnel& tunnel, sim::SimTime now,
-                   packet::PacketBuffer&& frame, std::vector<NfOutput>& out);
-  void decapsulate(ContextId ctx, Tunnel& tunnel, packet::PacketBuffer&& frame,
+                   bool lifecycle, packet::PacketBurst& burst,
                    std::vector<NfOutput>& out);
+  void decapsulate(ContextId ctx, Tunnel& tunnel, bool lifecycle,
+                   packet::PacketBurst& burst, std::vector<NfOutput>& out);
 
   /// Shared encap prologue: validates the red-side frame as
   /// Ethernet+IPv4 and returns the inner IP packet (trimmed to its
@@ -337,9 +343,8 @@ class IpsecEndpoint : public NetworkFunction {
   /// rekey switchover lossless. Counts malformed/no_sa/lifetime and
   /// returns nullopt on failure. `sequence` is the full 64-bit sequence:
   /// under ESN the high half is recovered from the replay window
-  /// (RFC 4304 Appendix A) exactly once here and reused for the AAD/ICV
-  /// input and the replay update — on both the serial and multi-buffer
-  /// paths. Every size check happens before any state mutation.
+  /// (RFC 4304 Appendix A) here and reused for the AAD/ICV input and the
+  /// replay update. Every size check happens before any state mutation.
   struct EspIngress {
     std::span<const std::uint8_t> esp_area;
     std::size_t esp_off = 0;  ///< offset of esp_area within the frame
@@ -363,60 +368,6 @@ class IpsecEndpoint : public NetworkFunction {
 
   static constexpr std::size_t kEspOffset =
       packet::kEthernetHeaderSize + packet::kIpv4MinHeaderSize;
-  void encapsulate_cbc(Tunnel& tunnel, SecurityAssociation& sa,
-                       packet::PacketBuffer&& frame,
-                       std::vector<NfOutput>& out);
-  void decapsulate_cbc(Tunnel& tunnel, EspIngress ingress,
-                       packet::PacketBuffer&& frame,
-                       std::vector<NfOutput>& out);
-  void encapsulate_gcm(Tunnel& tunnel, SecurityAssociation& sa,
-                       packet::PacketBuffer&& frame,
-                       std::vector<NfOutput>& out);
-  void decapsulate_gcm(Tunnel& tunnel, EspIngress ingress,
-                       packet::PacketBuffer&& frame,
-                       std::vector<NfOutput>& out);
-
-  /// A GCM encapsulation carried up to (but excluding) the seal: the
-  /// frame rebuilt in place (outer headers, ESP header/IV, trailer, ICV
-  /// room) with the nonce and AAD derived. The pooled segment does not
-  /// move with the PacketBuffer handle, so spans into prep.frame stay
-  /// valid while a burst's preps queue up as seal_mb lanes.
-  struct GcmEncapPrep {
-    packet::PacketBuffer frame;
-    std::size_t ct_off = 0;
-    std::size_t pt_len = 0;
-    std::size_t inner_size = 0;
-    std::uint8_t nonce[crypto::GcmContext::kIvSize] = {};
-    std::uint8_t aad[12] = {};
-    std::size_t aad_len = 0;
-  };
-
-  /// First half of encapsulate_gcm (sequence claim, header/trailer
-  /// rebuild, nonce/AAD derivation). Returns false — frame dropped and
-  /// counted — when the inner packet does not parse.
-  bool encapsulate_gcm_prepare(Tunnel& tunnel, SecurityAssociation& sa,
-                               packet::PacketBuffer&& frame,
-                               GcmEncapPrep& prep);
-  /// Second half: per-packet counters + output emission after the seal.
-  NfOutput encapsulate_gcm_finish(SecurityAssociation& sa,
-                                  GcmEncapPrep&& prep);
-
-  /// Fast-path burst encapsulation: same-SA frames gathered into groups
-  /// of up to crypto::CryptoBackend::kMaxMbLanes independent lanes and
-  /// sealed through GcmContext::seal_mb — bit-identical to the serial
-  /// loop (sequence numbers are claimed in frame order), but the AES and
-  /// GHASH work of short packets interleaves across the burst.
-  void encapsulate_gcm_burst(Tunnel& tunnel, SecurityAssociation& sa,
-                             packet::PacketBurst& burst,
-                             std::vector<NfOutput>& out);
-  /// Fast-path burst decapsulation: consecutive frames resolving to the
-  /// same keymat authenticate + decrypt as open_mb lanes; verdicts,
-  /// replay checks and inner emission then run in frame order, so drop
-  /// semantics match the serial path exactly (auth is pure crypto and
-  /// replay state only advances in the ordered epilogue).
-  void decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
-                             packet::PacketBurst& burst,
-                             std::vector<NfOutput>& out);
 
   /// Applies the staged-rekey config keys collected by configure().
   util::Status stage_rekey(ContextId ctx, Tunnel& tunnel,

@@ -1,7 +1,7 @@
 #include "traffic/adversary.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace nnfv::traffic {
 
@@ -92,7 +92,7 @@ packet::PacketBuffer EspAdversary::garbage_esp(
       prototype.data().subspan(0, std::min(offset, prototype.size())));
   auto area = out.push_back(esp_bytes);
   const auto junk = rng_.bytes(esp_bytes);
-  std::memcpy(area.data(), junk.data(), esp_bytes);
+  std::copy(junk.begin(), junk.end(), area.begin());
   fix_outer_length(out);
   ++counters_.garbage;
   return out;

@@ -19,6 +19,7 @@
 #include "exec/datapath_executor.hpp"
 #include "nffg/nffg.hpp"
 #include "nnf/firewall.hpp"
+#include "nnf/ipsec.hpp"
 #include "packet/builder.hpp"
 #include "switch/lsi.hpp"
 
@@ -219,6 +220,87 @@ TEST(BurstHotPath, AllocationsPerBurstAreConstantInline) {
 
 TEST(BurstHotPath, AllocationsPerBurstAreConstantWithWorkers) {
   expect_constant_allocations_per_burst(2);
+}
+
+/// Encap then decap of one `frames`-frame burst between two endpoints;
+/// returns the allocations the two process_burst calls make. Frames are
+/// built and outputs torn down outside the counted region.
+std::uint64_t esp_round_trip_allocations(nnf::IpsecEndpoint& initiator,
+                                         nnf::IpsecEndpoint& responder,
+                                         std::size_t frames) {
+  packet::PacketBurst red;
+  red.reserve(frames);
+  for (std::size_t i = 0; i < frames; ++i) {
+    red.push_back(udp_frame("192.168.1.10",
+                            static_cast<std::uint16_t>(5000 + i % kFlows), 53,
+                            18 + 29 * (i % 8)));
+  }
+  std::vector<nnf::NfOutput> black;
+  std::uint64_t allocations = allocations_during([&] {
+    black = initiator.process_burst(nnf::kDefaultContext, 0, 0,
+                                    std::move(red));
+  });
+  packet::PacketBurst esp;
+  esp.reserve(black.size());
+  for (nnf::NfOutput& o : black) esp.push_back(std::move(o.frame));
+  std::vector<nnf::NfOutput> inner;
+  allocations += allocations_during([&] {
+    inner = responder.process_burst(nnf::kDefaultContext, 1, 0,
+                                    std::move(esp));
+  });
+  EXPECT_EQ(inner.size(), frames);
+  return allocations;
+}
+
+void expect_constant_esp_allocations(const std::string& transform, bool esn) {
+  SCOPED_TRACE(transform + (esn ? " esn" : ""));
+  const std::string esn_value = esn ? "on" : "off";
+  const std::string enc_key = "000102030405060708090a0b0c0d0e0f";
+  const std::string auth_key =
+      "202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f";
+  nnf::IpsecEndpoint initiator;
+  nnf::IpsecEndpoint responder;
+  ASSERT_TRUE(initiator
+                  .configure(nnf::kDefaultContext,
+                             {{"local_ip", "198.51.100.1"},
+                              {"peer_ip", "198.51.100.2"},
+                              {"spi_out", "1001"},
+                              {"spi_in", "2002"},
+                              {"esp_transform", transform},
+                              {"esn", esn_value},
+                              {"enc_key", enc_key},
+                              {"auth_key", auth_key}})
+                  .is_ok());
+  ASSERT_TRUE(responder
+                  .configure(nnf::kDefaultContext,
+                             {{"local_ip", "198.51.100.2"},
+                              {"peer_ip", "198.51.100.1"},
+                              {"spi_out", "2002"},
+                              {"spi_in", "1001"},
+                              {"esp_transform", transform},
+                              {"esn", esn_value},
+                              {"enc_key", enc_key},
+                              {"auth_key", auth_key}})
+                  .is_ok());
+  // Warm-up: lazily built key tables and the mbuf pool reach steady state.
+  for (int i = 0; i < 4; ++i) {
+    esp_round_trip_allocations(initiator, responder, 32);
+  }
+  std::uint64_t big_allocs = ~0ULL;
+  std::uint64_t small_allocs = ~0ULL;
+  for (int rep = 0; rep < 3; ++rep) {
+    big_allocs = std::min(big_allocs,
+                          esp_round_trip_allocations(initiator, responder, 32));
+    small_allocs = std::min(
+        small_allocs, esp_round_trip_allocations(initiator, responder, 8));
+  }
+  EXPECT_EQ(big_allocs, small_allocs);
+}
+
+TEST(BurstHotPath, IpsecAllocationsPerBurstAreConstant) {
+  expect_constant_esp_allocations("gcm", false);
+  expect_constant_esp_allocations("gcm", true);
+  expect_constant_esp_allocations("cbc-hmac", false);
 }
 
 // ---------------------------------------------------------------------------

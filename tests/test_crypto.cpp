@@ -8,7 +8,6 @@
 #include "crypto/aes.hpp"
 #include "crypto/cipher_modes.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -84,27 +83,7 @@ TEST(Sha256, BoundaryLengths) {
 }
 
 // ---------------------------------------------------------------------------
-// SHA-1
-// ---------------------------------------------------------------------------
-
-TEST(Sha1, EmptyString) {
-  EXPECT_EQ(hex_of(Sha1::digest({})),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-}
-
-TEST(Sha1, Abc) {
-  EXPECT_EQ(hex_of(Sha1::digest(bytes_of("abc"))),
-            "a9993e364706816aba3e25717850c26c9cd0d89d");
-}
-
-TEST(Sha1, TwoBlockMessage) {
-  EXPECT_EQ(hex_of(Sha1::digest(bytes_of(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-// ---------------------------------------------------------------------------
-// HMAC (RFC 4231 for SHA-256, RFC 2202 for SHA-1)
+// HMAC-SHA256 (RFC 4231)
 // ---------------------------------------------------------------------------
 
 TEST(HmacSha256, Rfc4231Case1) {
@@ -133,12 +112,6 @@ TEST(HmacSha256, Rfc4231Case6LongKey) {
                 key, bytes_of("Test Using Larger Than Block-Size Key - "
                               "Hash Key First"))),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
-}
-
-TEST(HmacSha1, Rfc2202Case1) {
-  const auto key = std::vector<std::uint8_t>(20, 0x0b);
-  EXPECT_EQ(hex_of(HmacSha1::mac(key, bytes_of("Hi There"))),
-            "b617318655057264e28bc0b6fb378c8ef146be00");
 }
 
 TEST(Hmac, IncrementalMatchesOneShot) {

@@ -962,6 +962,21 @@ TEST(CryptoBackend, GcmMbSealOpenPerLaneTamper) {
         ops[i].tag = tags[i].data();
       }
     }
+
+    // A one-lane batch keeps the same contract: verdict, wipe on forgery.
+    GcmMbOp& lone = ops[6];
+    lone.input = ciphers[6];
+    outs[6].assign(lens[6], 0xAA);
+    EXPECT_TRUE(gcm->open_mb(&lone, 1, ok)) << backend->name();
+    EXPECT_TRUE(ok[0]);
+    EXPECT_EQ(outs[6], plains[6]) << backend->name();
+    auto bad_tag = tags[6];
+    bad_tag[0] ^= 0x01;
+    lone.tag = bad_tag.data();
+    EXPECT_FALSE(gcm->open_mb(&lone, 1, ok)) << backend->name();
+    EXPECT_FALSE(ok[0]);
+    EXPECT_EQ(outs[6], std::vector<std::uint8_t>(lens[6], 0))
+        << backend->name() << " forged lone lane must be wiped";
   }
 }
 

@@ -289,7 +289,8 @@ PacketBuffer udp_frame(std::size_t payload_size) {
   spec.ip_dst = *Ipv4Address::parse("10.8.0.5");
   spec.src_port = 5001;
   spec.dst_port = 5001;
-  spec.payload = pattern(payload_size);
+  const std::vector<std::uint8_t> payload = pattern(payload_size);
+  spec.payload = payload;
   return build_udp_frame(spec);
 }
 
@@ -360,19 +361,19 @@ TEST(EspZeroCopy, CbcEncapReusesTheInputSegment) {
                                         frame.data().end());
   const std::uint8_t* base = frame.data().data();
 
-  // CBC stages padding/ICV in scratch vectors (not length-preserving),
-  // but the wire frame is rebuilt into the input's own segment: no pool
-  // allocation per packet.
+  // Encap: pop inner Ethernet (14), prepend outer Eth+IP+ESP+IV (58);
+  // CBC encrypts in place, so the output's first byte sits 44 before the
+  // input's within the SAME segment.
   auto enc = initiator.process(nnf::kDefaultContext, 0, 0, std::move(frame));
   ASSERT_EQ(enc.size(), 1u);
-  EXPECT_EQ(enc[0].frame.data().data(), base);
+  EXPECT_EQ(enc[0].frame.data().data(), base + 14 - 58);
 
   auto dec = responder.process(nnf::kDefaultContext, 1, 0,
                                std::move(enc[0].frame));
   ASSERT_EQ(dec.size(), 1u);
-  // Decap rebuilds the plaintext at the default offset and prepends the
-  // inner Ethernet header into headroom — still the same segment.
-  EXPECT_EQ(dec[0].frame.data().data(), base - packet::kEthernetHeaderSize);
+  // Decap decrypts in place and rebuilds the inner Ethernet header in the
+  // vacated headroom: back to the input's first byte.
+  EXPECT_EQ(dec[0].frame.data().data(), base);
   ASSERT_EQ(dec[0].frame.size(), plain.size());
   EXPECT_EQ(std::memcmp(dec[0].frame.data().data() + 14, plain.data() + 14,
                         plain.size() - 14),
