@@ -2,6 +2,8 @@
 
 #include <memory>
 
+#include "packet/headers.hpp"
+
 namespace nnfv::compute {
 
 std::string_view instance_state_name(InstanceState state) {
@@ -96,18 +98,9 @@ void NfInstance::dispatch_outputs(nnf::ContextId ctx,
   }
 }
 
-void NfInstance::inject_custom(std::size_t bytes,
-                               std::function<void()> handler) {
-  if (state_ != InstanceState::kRunning) {
-    ++dropped_not_running_;
-    return;
-  }
-  station_.submit(cost_.service_time(bytes), std::move(handler));
-}
-
 void NfInstance::inject_custom_burst(
     packet::PacketBurst&& burst,
-    std::function<void(packet::PacketBurst&&)> handler) {
+    std::function<void(sim::SimTime, packet::PacketBurst&&)> handler) {
   if (state_ != InstanceState::kRunning) {
     dropped_not_running_ += burst.size();
     return;
@@ -115,11 +108,11 @@ void NfInstance::inject_custom_burst(
   if (burst.empty()) return;
   sim::SimTime service = 0;
   for (const packet::PacketBuffer& frame : burst) {
-    service += cost_.service_time(frame.size());
+    service += cost_.service_time(frame.size() + packet::kVlanTagSize);
   }
   auto held = std::make_shared<packet::PacketBurst>(std::move(burst));
-  station_.submit(service, [handler = std::move(handler), held]() {
-    handler(std::move(*held));
+  station_.submit(service, [this, handler = std::move(handler), held]() {
+    handler(simulator_.now(), std::move(*held));
   });
 }
 

@@ -65,16 +65,14 @@ class NfInstance {
   void inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
                     packet::PacketBurst&& burst);
 
-  /// Datapath entry for adaptation-layer deployments: after the service
-  /// delay, `handler` runs instead of the direct process+egress path.
-  void inject_custom(std::size_t bytes, std::function<void()> handler);
-
-  /// Burst variant of inject_custom: the whole burst is one service-station
-  /// item (service time = sum of per-frame times, matching inject_burst)
-  /// and `handler` receives it back after the delay — the adaptation layer
-  /// then demultiplexes the burst in one pass.
-  void inject_custom_burst(packet::PacketBurst&& burst,
-                           std::function<void(packet::PacketBurst&&)> handler);
+  /// Datapath entry for adaptation-layer deployments: the whole burst is
+  /// one service-station item and `handler` receives it back with the
+  /// completion time after the delay. Each frame is charged as
+  /// frame.size() + kVlanTagSize: its mark rides beside the burst, but the
+  /// model keeps the 802.1Q tag it stands for on the wire.
+  void inject_custom_burst(
+      packet::PacketBurst&& burst,
+      std::function<void(sim::SimTime, packet::PacketBurst&&)> handler);
 
   util::Status start();
   util::Status stop();

@@ -1,32 +1,11 @@
 #include "compute/native_driver.hpp"
 
-#include "packet/builder.hpp"
 #include "util/logging.hpp"
 
 namespace nnfv::compute {
 
 using util::Result;
 using util::Status;
-
-namespace {
-
-/// Resolves an adaptation-egress frame to its destination (LSI, port) by
-/// its mark and strips the mark; nullopt when untagged or unrouted. Shared
-/// by the per-frame and burst egress paths so their routing cannot drift.
-std::optional<std::pair<nfswitch::Lsi*, nfswitch::PortId>>
-route_adaptation_egress(
-    const std::map<nnf::Mark, std::pair<nfswitch::Lsi*, nfswitch::PortId>>&
-        routes,
-    packet::PacketBuffer& frame) {
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth || !eth->vlan.has_value()) return std::nullopt;
-  auto route = routes.find(*eth->vlan);
-  if (route == routes.end()) return std::nullopt;
-  packet::set_vlan(frame, std::nullopt);
-  return route->second;
-}
-
-}  // namespace
 
 NativeDriver::NativeDriver(NativeDriverEnv env) : env_(env) {}
 
@@ -94,29 +73,16 @@ Result<std::shared_ptr<NativeDriver::Shared>> NativeDriver::create_instance(
   if (desc.single_interface) {
     shared->adaptation =
         std::make_unique<nnf::AdaptationLayer>(shared->instance->function());
-    // Egress: frames leave the adaptation layer re-marked; route on the
-    // mark, strip it, and hand the frame back to the right LSI port.
+    // Egress: each output group arrives with its (context, port) mark;
+    // resolve the destination LSI port once per group and re-enter that
+    // pipeline with one receive_burst.
     Shared* raw = shared.get();
-    shared->adaptation->set_transmit([raw](packet::PacketBuffer&& frame) {
-      if (auto dest = route_adaptation_egress(raw->routes, frame)) {
-        dest->first->receive(dest->second, std::move(frame));
-      }
-    });
-    // Burst egress: re-enter each LSI port's pipeline with one
-    // receive_burst per destination.
-    shared->adaptation->set_burst_transmit(
-        [raw](packet::PacketBurst&& burst) {
-          packet::BurstGroups<std::pair<nfswitch::Lsi*, nfswitch::PortId>>
-              groups(burst.size());
-          for (packet::PacketBuffer& frame : burst) {
-            if (auto dest = route_adaptation_egress(raw->routes, frame)) {
-              groups.add(*dest, std::move(frame));
-            }
-          }
-          for (auto& [destination, group] : groups) {
-            destination.first->receive_burst(destination.second,
-                                             std::move(group));
-          }
+    shared->adaptation->set_transmit(
+        [raw](nnf::Mark mark, packet::PacketBurst&& burst) {
+          auto route = raw->routes.find(mark);
+          if (route == raw->routes.end()) return;
+          route->second.first->receive_burst(route->second.second,
+                                             std::move(burst));
         });
   }
 
@@ -271,39 +237,21 @@ Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
       }
       shared->routes[mark.value()] = {&lsi, port.value()};
 
-      // Switch -> NNF: tag with the mark, pay the service time, then let
-      // the adaptation layer demultiplex.
+      // Switch -> NNF: the port's mark rides beside the burst. One
+      // service-station event per burst, charged as if every frame carried
+      // the 802.1Q tag, then the adaptation layer dispatches the burst.
+      // Single frames reach this peer as bursts of 1 (Lsi::transmit).
       auto instance = shared->instance;
-      Shared* raw = shared.get();
-      sim::Simulator* simulator = env_.simulator;
+      nnf::AdaptationLayer* layer = shared->adaptation.get();
       const nnf::Mark mark_value = mark.value();
-      (void)lsi.set_port_peer(
-          port.value(),
-          [instance, raw, simulator, mark_value](
-              packet::PacketBuffer&& frame) {
-            packet::set_vlan(frame, mark_value);
-            const std::size_t bytes = frame.size();
-            auto held =
-                std::make_shared<packet::PacketBuffer>(std::move(frame));
-            instance->inject_custom(bytes, [raw, simulator, held]() {
-              raw->adaptation->receive(simulator->now(), std::move(*held));
-            });
-          });
-      // Burst variant: tag every frame with this port's mark, pay one
-      // service-station event for the whole vector, then let the
-      // adaptation layer demultiplex the burst in one pass.
       (void)lsi.set_port_burst_peer(
           port.value(),
-          [instance, raw, simulator, mark_value](
-              packet::PacketBurst&& burst) {
-            for (packet::PacketBuffer& frame : burst) {
-              packet::set_vlan(frame, mark_value);
-            }
+          [instance, layer, mark_value](packet::PacketBurst&& burst) {
             instance->inject_custom_burst(
                 std::move(burst),
-                [raw, simulator](packet::PacketBurst&& delayed) {
-                  raw->adaptation->receive_burst(simulator->now(),
-                                                 std::move(delayed));
+                [layer, mark_value](sim::SimTime now,
+                                    packet::PacketBurst&& delayed) {
+                  layer->receive(now, mark_value, std::move(delayed));
                 });
           });
     } else {
@@ -455,6 +403,20 @@ std::size_t NativeDriver::total_instances() const {
   std::size_t total = 0;
   for (const auto& [type, list] : running_) total += list.size();
   return total;
+}
+
+const NfInstance* NativeDriver::first_instance(
+    const std::string& functional_type) const {
+  auto it = running_.find(functional_type);
+  if (it == running_.end() || it->second.empty()) return nullptr;
+  return it->second.front()->instance.get();
+}
+
+const nnf::AdaptationLayer* NativeDriver::first_adaptation(
+    const std::string& functional_type) const {
+  auto it = running_.find(functional_type);
+  if (it == running_.end() || it->second.empty()) return nullptr;
+  return it->second.front()->adaptation.get();
 }
 
 }  // namespace nnfv::compute

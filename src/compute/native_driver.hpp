@@ -71,6 +71,12 @@ class NativeDriver final : public ComputeDriver {
   [[nodiscard]] std::size_t running_instances(
       const std::string& functional_type) const;
   [[nodiscard]] std::size_t total_instances() const;
+  /// The first running instance of a type and its adaptation layer
+  /// (nullptr when none runs or it has a dedicated attachment).
+  [[nodiscard]] const NfInstance* first_instance(
+      const std::string& functional_type) const;
+  [[nodiscard]] const nnf::AdaptationLayer* first_adaptation(
+      const std::string& functional_type) const;
 
  private:
   /// One running native instance (possibly shared by several graphs).

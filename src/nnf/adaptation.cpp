@@ -34,83 +34,65 @@ std::size_t AdaptationLayer::unbind_context(ContextId ctx) {
   return removed;
 }
 
-bool AdaptationLayer::remark_output(ContextId ctx, NfOutput& output) {
-  auto out_mark = by_path_.find({ctx, output.port});
-  if (out_mark == by_path_.end()) {
-    ++stats_.unmapped_out;
-    return false;
-  }
-  packet::set_vlan(output.frame, out_mark->second);
-  ++stats_.out_frames;
-  return true;
+void AdaptationLayer::set_burst_transmit(BurstTransmit tx) {
+  tx_ = [tx = std::move(tx)](Mark mark, packet::PacketBurst&& burst) {
+    for (packet::PacketBuffer& frame : burst) packet::set_vlan(frame, mark);
+    tx(std::move(burst));
+  };
 }
 
-void AdaptationLayer::receive(sim::SimTime now,
-                              packet::PacketBuffer&& frame) {
-  ++stats_.in_frames;
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth || !eth->vlan.has_value()) {
-    ++stats_.untagged;
-    return;
-  }
-  auto binding = by_mark_.find(*eth->vlan);
+void AdaptationLayer::receive(sim::SimTime now, Mark mark,
+                              packet::PacketBurst&& burst) {
+  stats_.in_frames += burst.size();
+  auto binding = by_mark_.find(mark);
   if (binding == by_mark_.end()) {
-    ++stats_.unmapped_in;
+    stats_.unmapped_in += burst.size();
+    burst.clear();
     return;
   }
   const auto [ctx, port] = binding->second;
-  packet::set_vlan(frame, std::nullopt);  // present the NF untagged traffic
+  std::vector<NfOutput> outputs =
+      nf_.process_burst(ctx, port, now, std::move(burst));
 
-  std::vector<NfOutput> outputs = nf_.process(ctx, port, now,
-                                              std::move(frame));
+  // Outputs leave per output port, each group with its path's mark.
+  packet::BurstGroups<NfPortIndex> groups(outputs.size());
   for (NfOutput& output : outputs) {
-    if (!remark_output(ctx, output)) continue;
-    if (tx_) tx_(std::move(output.frame));
+    groups.add(output.port, std::move(output.frame));
+  }
+  for (auto& [out_port, group] : groups) {
+    auto out_mark = by_path_.find({ctx, out_port});
+    if (out_mark == by_path_.end()) {
+      stats_.unmapped_out += group.size();
+      continue;
+    }
+    stats_.out_frames += group.size();
+    if (tx_) tx_(out_mark->second, std::move(group));
   }
 }
 
 void AdaptationLayer::receive_burst(sim::SimTime now,
-                                    packet::PacketBurst&& burst) {
-  const std::size_t n = burst.size();
-  stats_.in_frames += n;
-
-  // Demultiplex on the mark and regroup per internal path, keeping
-  // same-path frames in arrival order.
-  packet::BurstGroups<std::pair<ContextId, NfPortIndex>> groups(n);
-  for (packet::PacketBuffer& frame : burst) {
+                                    packet::PacketBurst&& tagged) {
+  packet::BurstGroups<Mark> groups(tagged.size());
+  for (packet::PacketBuffer& frame : tagged) {
     auto eth = packet::parse_ethernet(frame.data());
     if (!eth || !eth->vlan.has_value()) {
+      ++stats_.in_frames;
       ++stats_.untagged;
       continue;
     }
-    auto binding = by_mark_.find(*eth->vlan);
-    if (binding == by_mark_.end()) {
-      ++stats_.unmapped_in;
-      continue;
-    }
-    packet::set_vlan(frame, std::nullopt);
-    groups.add(binding->second, std::move(frame));
+    const Mark mark = *eth->vlan;
+    packet::set_vlan(frame, std::nullopt);  // present the NF untagged traffic
+    groups.add(mark, std::move(frame));
   }
-  burst.clear();
+  tagged.clear();
+  for (auto& [mark, group] : groups) receive(now, mark, std::move(group));
+}
 
-  // One process_burst per path; outputs of the whole ingress burst leave
-  // as one re-marked egress burst (or per frame without a burst transmit).
-  packet::PacketBurst egress;
-  if (burst_tx_) egress.reserve(n);
-  for (auto& [path, group] : groups) {
-    const auto [ctx, port] = path;
-    std::vector<NfOutput> outputs =
-        nf_.process_burst(ctx, port, now, std::move(group));
-    for (NfOutput& output : outputs) {
-      if (!remark_output(ctx, output)) continue;
-      if (burst_tx_) {
-        egress.push_back(std::move(output.frame));
-      } else if (tx_) {
-        tx_(std::move(output.frame));
-      }
-    }
-  }
-  if (burst_tx_ && !egress.empty()) burst_tx_(std::move(egress));
+void AdaptationLayer::receive(sim::SimTime now,
+                              packet::PacketBuffer&& frame) {
+  packet::PacketBurst single;
+  single.push_back(std::move(frame));
+  receive_burst(now, std::move(single));
 }
 
 }  // namespace nnfv::nnf

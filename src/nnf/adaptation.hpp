@@ -4,11 +4,15 @@
 // and configures it to receive the traffic from multiple service graphs,
 // appropriately marked to make it distinguishable." (paper §2)
 //
-// Concretely: one external attachment carries 802.1Q-marked frames. Each
-// (context, logical NF port) pair is bound to a mark. On ingress the layer
-// pops the tag and dispatches into the right internal path; on egress it
-// re-tags with the mark of the (context, output port) pair so the switch
-// can steer the frame back into the right graph.
+// Concretely: each (context, logical NF port) pair is bound to a mark. The
+// mark travels beside a burst, not inside its frames — like NIC VLAN
+// offload metadata: every frame of a burst handed to receive(now, mark, …)
+// shares the mark of the switch port it left, the layer dispatches the
+// burst into the bound internal path, and hands each output group back
+// with the mark of its (context, output port) pair so the switch can steer
+// it back into the right graph. 802.1Q encoding exists only in the tagged
+// adapter (receive_burst / set_burst_transmit) for callers that really hold
+// tagged frames.
 #pragma once
 
 #include <cstdint>
@@ -25,23 +29,25 @@ struct AdaptationStats {
   std::uint64_t out_frames = 0;
   std::uint64_t unmapped_in = 0;   ///< ingress mark with no binding
   std::uint64_t unmapped_out = 0;  ///< NF output port with no mark bound
-  std::uint64_t untagged = 0;      ///< ingress frame without a mark
+  std::uint64_t untagged = 0;      ///< tagged adapter: frame without a tag
 };
 
 class AdaptationLayer {
  public:
-  /// Transmit function toward the switch port this layer is attached to.
-  using Transmit = std::function<void(packet::PacketBuffer&&)>;
-  /// Burst-capable transmit: every (re-marked) frame the layer emits for
-  /// one ingress burst leaves in a single call, preserving order.
+  /// Transmit toward the switch: one call per (context, output port)
+  /// group of an ingress burst, with that pair's mark; order inside the
+  /// group is preserved.
+  using Transmit = std::function<void(Mark, packet::PacketBurst&&)>;
+  /// Tagged transmit: the same groups, each frame carrying its mark as an
+  /// 802.1Q tag.
   using BurstTransmit = std::function<void(packet::PacketBurst&&)>;
 
   explicit AdaptationLayer(NetworkFunction& nf) : nf_(nf) {}
 
   void set_transmit(Transmit tx) { tx_ = std::move(tx); }
-  /// Preferred by receive_burst when set; receive() keeps using the
-  /// per-frame transmit.
-  void set_burst_transmit(BurstTransmit tx) { burst_tx_ = std::move(tx); }
+  /// Tagged adapter over set_transmit: writes each group's mark into its
+  /// frames as an 802.1Q tag.
+  void set_burst_transmit(BurstTransmit tx);
 
   /// Binds `mark` to (ctx, port) in both directions.
   util::Status bind(ContextId ctx, NfPortIndex port, Mark mark);
@@ -51,26 +57,26 @@ class AdaptationLayer {
 
   [[nodiscard]] std::size_t binding_count() const { return by_mark_.size(); }
 
-  /// Frame arriving from the switch (must carry a bound mark).
-  void receive(sim::SimTime now, packet::PacketBuffer&& frame);
+  /// Burst arriving from the switch port bound to `mark`: ONE
+  /// process_burst call into the bound (context, port), so a
+  /// single-interface NNF gets the same per-burst amortisation as a
+  /// dedicated attachment. A burst on an unbound mark is counted in
+  /// unmapped_in and dropped.
+  void receive(sim::SimTime now, Mark mark, packet::PacketBurst&& burst);
 
-  /// Burst arriving from the switch. Frames are demultiplexed on their
-  /// marks and regrouped per (context, port) — order within a group is
-  /// preserved — then each group is ONE process_burst call into the NF,
-  /// so a single-interface NNF gets the same per-burst amortisation as a
-  /// dedicated attachment.
-  void receive_burst(sim::SimTime now, packet::PacketBurst&& burst);
+  /// Tagged adapter: frames carrying their mark as an 802.1Q tag. The tag
+  /// is stripped, frames are regrouped per mark (order within a mark is
+  /// preserved) and each group goes through receive(now, mark, group).
+  void receive_burst(sim::SimTime now, packet::PacketBurst&& tagged);
+
+  /// One tagged frame: a burst of 1 through receive_burst.
+  void receive(sim::SimTime now, packet::PacketBuffer&& frame);
 
   [[nodiscard]] const AdaptationStats& stats() const { return stats_; }
 
  private:
-  /// Re-marks one NF output with the mark of (ctx, port); returns false
-  /// (and counts unmapped_out) when no mark is bound.
-  bool remark_output(ContextId ctx, NfOutput& output);
-
   NetworkFunction& nf_;
   Transmit tx_;
-  BurstTransmit burst_tx_;
   std::map<Mark, std::pair<ContextId, NfPortIndex>> by_mark_;
   std::map<std::pair<ContextId, NfPortIndex>, Mark> by_path_;
   AdaptationStats stats_;

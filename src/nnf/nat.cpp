@@ -63,8 +63,8 @@ bool PortPool::in_use(std::uint16_t port) const {
 namespace {
 
 /// Writes a new src/dst address + transport port into the frame whose
-/// IPv4 header (`header`, already decoded) sits at `l3_off`, then fixes
-/// checksums.
+/// IPv4 header (`header`, already decoded) sits at `l3_off`, computing the
+/// IPv4 and L4 checksums once each from the known header.
 void rewrite(packet::PacketBuffer& frame, std::size_t l3_off,
              const packet::Ipv4Header& header, bool rewrite_src,
              packet::Ipv4Address new_addr, std::uint16_t new_port) {
@@ -75,18 +75,19 @@ void rewrite(packet::PacketBuffer& frame, std::size_t l3_off,
   } else {
     ip.dst = new_addr;
   }
-  packet::write_ipv4(ip, frame.data().subspan(l3_off, ip.header_size()));
+  const std::span<std::uint8_t> bytes = frame.data();
+  packet::write_ipv4(ip, bytes.subspan(l3_off, ip.header_size()));
   const std::size_t l4_off = l3_off + ip.header_size();
   if (ip.protocol == packet::kIpProtoTcp ||
       ip.protocol == packet::kIpProtoUdp) {
     // Port field offset: src at 0, dst at 2.
     const std::size_t port_off = l4_off + (rewrite_src ? 0 : 2);
-    util::store_be16(frame.data().data() + port_off, new_port);
+    util::store_be16(bytes.data() + port_off, new_port);
   } else if (ip.protocol == packet::kIpProtoIcmp) {
     // Rewrite the echo identifier.
-    util::store_be16(frame.data().data() + l4_off + 4, new_port);
+    util::store_be16(bytes.data() + l4_off + 4, new_port);
   }
-  packet::fix_checksums(frame);
+  packet::fix_l4_checksum(bytes, l3_off, ip);
 }
 
 /// The by_external key port: for ICMP echo replies the identifier is

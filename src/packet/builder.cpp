@@ -151,19 +151,24 @@ void fix_checksums(PacketBuffer& frame) {
   // Rewrite the IP header (write_ipv4 recomputes its checksum).
   write_ipv4(ip.value(),
              frame.data().subspan(l3_off, ip->header_size()));
-  const std::size_t l4_off = l3_off + ip->header_size();
-  const std::size_t l4_size = ip->total_length - ip->header_size();
+  fix_l4_checksum(frame.data(), l3_off, ip.value());
+}
+
+void fix_l4_checksum(std::span<std::uint8_t> frame, std::size_t l3_off,
+                     const Ipv4Header& ip) {
+  const std::size_t l4_off = l3_off + ip.header_size();
+  const std::size_t l4_size = ip.total_length - ip.header_size();
   if (l4_off + l4_size > frame.size()) return;
-  auto l4 = frame.data().subspan(l4_off, l4_size);
-  if (ip->protocol == kIpProtoUdp && l4_size >= kUdpHeaderSize) {
+  auto l4 = frame.subspan(l4_off, l4_size);
+  if (ip.protocol == kIpProtoUdp && l4_size >= kUdpHeaderSize) {
     const std::uint16_t sum =
-        l4_checksum(ip->src, ip->dst, kIpProtoUdp, l4, 6);
+        l4_checksum(ip.src, ip.dst, kIpProtoUdp, l4, 6);
     util::store_be16(l4.data() + 6, sum);
-  } else if (ip->protocol == kIpProtoTcp && l4_size >= kTcpMinHeaderSize) {
+  } else if (ip.protocol == kIpProtoTcp && l4_size >= kTcpMinHeaderSize) {
     const std::uint16_t sum =
-        l4_checksum(ip->src, ip->dst, kIpProtoTcp, l4, 16);
+        l4_checksum(ip.src, ip.dst, kIpProtoTcp, l4, 16);
     util::store_be16(l4.data() + 16, sum);
-  } else if (ip->protocol == kIpProtoIcmp && l4_size >= kIcmpHeaderSize) {
+  } else if (ip.protocol == kIpProtoIcmp && l4_size >= kIcmpHeaderSize) {
     util::store_be16(l4.data() + 2, 0);
     const std::uint16_t sum = internet_checksum(l4);
     util::store_be16(l4.data() + 2, sum);

@@ -66,4 +66,10 @@ void set_vlan(PacketBuffer& frame, std::optional<std::uint16_t> vlan);
 /// header fields were rewritten (used by NAT). No-op for non-IP frames.
 void fix_checksums(PacketBuffer& frame);
 
+/// Recomputes only the UDP/TCP/ICMP checksum of the packet whose IPv4
+/// header `ip` (as written) sits at `l3_off` of `frame`; the caller has
+/// unshared the bytes. No-op when the L4 segment is truncated.
+void fix_l4_checksum(std::span<std::uint8_t> frame, std::size_t l3_off,
+                     const Ipv4Header& ip);
+
 }  // namespace nnfv::packet

@@ -82,7 +82,8 @@ TEST(AdaptationBurst, SingleFrameIsABurstOfOne) {
   AdaptationLayer layer(nf);
   ASSERT_TRUE(layer.bind(kDefaultContext, 0, 100).is_ok());
   std::size_t transmits = 0;
-  layer.set_transmit([&](packet::PacketBuffer&&) { ++transmits; });
+  layer.set_burst_transmit(
+      [&](packet::PacketBurst&& out) { transmits += out.size(); });
 
   // Both single-frame entry points reach the NF as process_burst of 1.
   layer.receive(0, tagged_frame(100, 7));
@@ -138,16 +139,12 @@ TEST(AdaptationBurst, EgressLeavesAsOneRemarkedBurst) {
   layer.set_burst_transmit([&](packet::PacketBurst&& out) {
     egress_bursts.push_back(std::move(out));
   });
-  std::size_t single_transmits = 0;
-  layer.set_transmit([&](packet::PacketBuffer&&) { ++single_transmits; });
 
   packet::PacketBurst burst;
   for (std::uint8_t i = 0; i < 4; ++i) burst.push_back(tagged_frame(100, i));
   layer.receive_burst(0, std::move(burst));
 
-  // All 4 outputs leave in one burst-transmit call, re-marked, in order;
-  // the per-frame transmit is not used when a burst transmit is wired.
-  EXPECT_EQ(single_transmits, 0u);
+  // All 4 outputs leave in one burst-transmit call, re-marked, in order.
   ASSERT_EQ(egress_bursts.size(), 1u);
   ASSERT_EQ(egress_bursts[0].size(), 4u);
   for (std::uint8_t i = 0; i < 4; ++i) {

@@ -206,6 +206,120 @@ TEST(Nat, TcpFlowsTranslated) {
   EXPECT_EQ(tuple.src_ip.to_string(), kExternalIp);
 }
 
+std::string hex_of(const packet::PacketBuffer& frame) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t byte : frame.data()) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xF];
+  }
+  return out;
+}
+
+// NAT output bytes, both directions of a UDP, a TCP and an ICMP echo flow,
+// pinned as golden hex: every address, port, identifier and checksum the
+// rewrite writes must match exactly.
+TEST(Nat, RewrittenBytesMatchGolden) {
+  static const char* const kGolden[] = {
+      // UDP out, UDP reply in
+      "020000000002020000000001080045000041000040004011d46fcb007101c6336407"
+      "04000035002d1f2b01080f161d242b323940474e555c636a71787f868d949ba2a9b0"
+      "b7bec5ccd3dae1e8eff6fd",
+      "0200000000010200000000020800450000410000400040114eb5c6336407c0a80114"
+      "00359c40002d013001080f161d242b323940474e555c636a71787f868d949ba2a9b0"
+      "b7bec5ccd3dae1e8eff6fd",
+      // TCP out, TCP reply in
+      "02000000000202000000000108004500004d000040004006d46ecb007101c6336407"
+      "040001bb000003e8000007d05010ffffc208000001080f161d242b323940474e555c"
+      "636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd",
+      "02000000000102000000000208004500004d0000400040064eb4c6336407c0a80114"
+      "01bbabe0000007d00000040d5010ffff9448000001080f161d242b323940474e555c"
+      "636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd",
+      // ICMP echo request out, echo reply in
+      "020000000002020000000001080045000041000040004001d47fcb007101c6336407"
+      "08007e010400000701080f161d242b323940474e555c636a71787f868d949ba2a9b0"
+      "b7bec5ccd3dae1e8eff6fd",
+      "0200000000010200000000020800450000410000400040014ec5c6336407c0a80114"
+      "000077cd1234000701080f161d242b323940474e555c636a71787f868d949ba2a9b0"
+      "b7bec5ccd3dae1e8eff6fd",
+  };
+  Nat nat = make_nat();
+  std::vector<std::uint8_t> payload(37);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const auto inside = *packet::Ipv4Address::parse("192.168.1.20");
+  const auto server = *packet::Ipv4Address::parse("198.51.100.7");
+  const auto external = *packet::Ipv4Address::parse(kExternalIp);
+  const auto lan_mac = packet::MacAddress::from_id(1);
+  const auto wan_mac = packet::MacAddress::from_id(2);
+  std::size_t next = 0;
+  auto translate = [&](NfPortIndex port, packet::PacketBuffer frame) {
+    auto outs = nat.process(kDefaultContext, port, 0, std::move(frame));
+    EXPECT_EQ(outs.size(), 1u);
+    if (outs.empty()) return packet::FiveTuple{};
+    EXPECT_EQ(hex_of(outs[0].frame), kGolden[next]) << "frame " << next;
+    ++next;
+    return tuple_of(outs[0].frame);
+  };
+
+  packet::UdpFrameSpec udp;
+  udp.eth_src = lan_mac;
+  udp.eth_dst = wan_mac;
+  udp.ip_src = inside;
+  udp.ip_dst = server;
+  udp.src_port = 40000;
+  udp.dst_port = 53;
+  udp.payload = payload;
+  const std::uint16_t udp_port =
+      translate(0, packet::build_udp_frame(udp)).src_port;
+  std::swap(udp.eth_src, udp.eth_dst);
+  udp.ip_src = server;
+  udp.ip_dst = external;
+  udp.src_port = 53;
+  udp.dst_port = udp_port;
+  translate(1, packet::build_udp_frame(udp));
+
+  packet::TcpFrameSpec tcp;
+  tcp.eth_src = lan_mac;
+  tcp.eth_dst = wan_mac;
+  tcp.ip_src = inside;
+  tcp.ip_dst = server;
+  tcp.src_port = 44000;
+  tcp.dst_port = 443;
+  tcp.seq = 1000;
+  tcp.ack = 2000;
+  tcp.payload = payload;
+  const std::uint16_t tcp_port =
+      translate(0, packet::build_tcp_frame(tcp)).src_port;
+  std::swap(tcp.eth_src, tcp.eth_dst);
+  tcp.ip_src = server;
+  tcp.ip_dst = external;
+  tcp.src_port = 443;
+  tcp.dst_port = tcp_port;
+  tcp.seq = 2000;
+  tcp.ack = 1037;
+  translate(1, packet::build_tcp_frame(tcp));
+
+  packet::IcmpEchoSpec icmp;
+  icmp.eth_src = lan_mac;
+  icmp.eth_dst = wan_mac;
+  icmp.ip_src = inside;
+  icmp.ip_dst = server;
+  icmp.identifier = 0x1234;
+  icmp.sequence = 7;
+  icmp.payload = payload;
+  const std::uint16_t icmp_id =
+      translate(0, packet::build_icmp_echo(icmp)).src_port;
+  std::swap(icmp.eth_src, icmp.eth_dst);
+  icmp.ip_src = server;
+  icmp.ip_dst = external;
+  icmp.is_reply = true;
+  icmp.identifier = icmp_id;
+  translate(1, packet::build_icmp_echo(icmp));
+  EXPECT_EQ(next, std::size(kGolden));
+}
+
 TEST(Nat, NonIpPassesThrough) {
   Nat nat = make_nat();
   std::vector<std::uint8_t> arp(64, 0);

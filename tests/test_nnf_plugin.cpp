@@ -202,8 +202,10 @@ class AdaptationFixture : public ::testing::Test {
     EXPECT_TRUE(adaptation_.bind(0, 1, 3001).is_ok());
     EXPECT_TRUE(adaptation_.bind(1, 0, 3010).is_ok());
     EXPECT_TRUE(adaptation_.bind(1, 1, 3011).is_ok());
-    adaptation_.set_transmit([this](packet::PacketBuffer&& frame) {
-      transmitted_.push_back(std::move(frame));
+    adaptation_.set_burst_transmit([this](packet::PacketBurst&& burst) {
+      for (packet::PacketBuffer& frame : burst) {
+        transmitted_.push_back(std::move(frame));
+      }
     });
   }
 
