@@ -6,14 +6,18 @@
 // tuple-space search); LinearTable below replicates the seed's linear
 // priority scan as the baseline. Emits the JSON result block described in
 // bench_json.hpp; the headline `speedup_vs_linear` at 1024 entries is the
-// acceptance metric for the classifier rewrite.
+// acceptance metric for the classifier rewrite. The `lsi_hop_*` rows time
+// one whole switch hop (decode, priority split, lookup, actions, egress)
+// per frame through Lsi::receive_burst; they report ns_per_op only.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "packet/builder.hpp"
 #include "switch/flow_table.hpp"
+#include "switch/lsi.hpp"
 
 namespace {
 
@@ -72,6 +76,65 @@ nfswitch::FlowContext context_for(std::uint16_t vlan) {
   auto frame = make_frame(vlan);
   auto fields = packet::extract_flow_fields(frame.data());
   return nfswitch::FlowContext{1, fields.value()};
+}
+
+constexpr int kHopBurst = 32;
+
+/// One LSI hop per frame: 32-frame bursts of 64 B UDP frames, cycling
+/// over `flows` distinct flows, in through one port and out by per-port
+/// rules: the frame at burst position i leaves by port `port_of[i]`. With
+/// one port a burst leaves whole; with more it takes the per-port
+/// grouping path. The egress peers hand the frames back and the loop
+/// re-sends them in the same order. Returns {ns per frame, bursts timed}.
+std::pair<double, std::uint64_t> measure_lsi_hop(
+    int flows, const std::vector<std::size_t>& port_of) {
+  nfswitch::Lsi lsi(1, "bench");
+  const nfswitch::PortId in = lsi.add_port("in").value();
+  const std::size_t ports =
+      *std::max_element(port_of.begin(), port_of.end()) + 1;
+  std::vector<packet::PacketBurst> returned(ports);
+  for (std::size_t p = 0; p < ports; ++p) {
+    const nfswitch::PortId out =
+        lsi.add_port("out" + std::to_string(p)).value();
+    nfswitch::FlowMatch match = nfswitch::match_in_port(in);
+    match.tp_dst = static_cast<std::uint16_t>(2000 + p);
+    lsi.flow_table().add(10, match, {nfswitch::FlowAction::output(out)});
+    (void)lsi.set_port_burst_peer(
+        out, [&returned, p](packet::PacketBurst&& burst) {
+          returned[p] = std::move(burst);
+        });
+  }
+  std::vector<packet::PacketBurst> bursts(
+      static_cast<std::size_t>(std::max(1, flows / kHopBurst)));
+  static const std::vector<std::uint8_t> payload(22, 0);  // 64 B frames
+  for (int i = 0; i < static_cast<int>(bursts.size()) * kHopBurst; ++i) {
+    packet::UdpFrameSpec spec;
+    spec.ip_src = *packet::Ipv4Address::parse("10.0.0.1");
+    spec.ip_dst = *packet::Ipv4Address::parse("10.0.0.2");
+    spec.src_port = static_cast<std::uint16_t>(1000 + i % flows);
+    spec.dst_port = static_cast<std::uint16_t>(
+        2000 + port_of[static_cast<std::size_t>(i % kHopBurst)]);
+    spec.payload = payload;
+    bursts[static_cast<std::size_t>(i / kHopBurst)].push_back(
+        packet::build_udp_frame(spec));
+  }
+  std::size_t next = 0;
+  std::vector<std::size_t> taken(ports);
+  auto [ns, iters] = bench::measure_ns([&]() {
+    packet::PacketBurst& burst = bursts[next];
+    lsi.receive_burst(in, std::move(burst));
+    if (ports == 1) {
+      burst = std::move(returned[0]);
+    } else {
+      burst.clear();
+      std::fill(taken.begin(), taken.end(), 0);
+      for (std::size_t p : port_of) {
+        burst.push_back(std::move(returned[p][taken[p]++]));
+      }
+    }
+    next = next + 1 == bursts.size() ? 0 : next + 1;
+  });
+  return {ns / kHopBurst, iters};
 }
 
 struct Scenario {
@@ -169,6 +232,30 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12s %12.1f\n", "install64_remove_cookie", "-",
               churn_ns);
   report.add("install64_remove_cookie", churn_iters, churn_ns);
+
+  // Whole hops: a cache-resident flow and a 512-flow working set leaving
+  // by one port; the 512-flow set alternating over two ports; and the
+  // same set with only the last frame of each burst on a second port
+  // (the longest prefix to move out of the burst's own storage).
+  std::vector<std::size_t> one_port(kHopBurst, 0);
+  std::vector<std::size_t> alternating(kHopBurst);
+  for (std::size_t i = 0; i < alternating.size(); ++i) alternating[i] = i % 2;
+  std::vector<std::size_t> last_elsewhere(kHopBurst, 0);
+  last_elsewhere.back() = 1;
+  struct Hop {
+    const char* name;
+    int flows;
+    const std::vector<std::size_t>& port_of;
+  };
+  for (const Hop& hop : {Hop{"lsi_hop_1_flows", 1, one_port},
+                         Hop{"lsi_hop_512_flows", 512, one_port},
+                         Hop{"lsi_hop_512_flows_2_ports", 512, alternating},
+                         Hop{"lsi_hop_512_flows_last_spills", 512,
+                             last_elsewhere}}) {
+    auto [hop_ns, hop_iters] = measure_lsi_hop(hop.flows, hop.port_of);
+    std::printf("%-28s %12s %12.1f\n", hop.name, "-", hop_ns);
+    report.add(hop.name, hop_iters, hop_ns);
+  }
 
   std::printf("\nacceptance: 1024-entry multiflow speedup %.1fx "
               "(target >= 10x)\n\n", speedup_1024);

@@ -226,8 +226,11 @@ std::size_t DatapathExecutor::drain_ring(WorkerContext& ctx,
   while (begin < items.size()) {
     std::size_t end = begin + 1;
     while (end < items.size() && items[end].tag == items[begin].tag) ++end;
+    // The pipeline takes the vector itself (a single-port LSI burst
+    // leaves in it), so the scratch is empty again here and each run
+    // reserves its own storage: one allocation per run.
     group.clear();
-    group.reserve(end - begin);  // no-op once warm
+    group.reserve(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
       group.push_back(std::move(items[i].frame));
     }

@@ -228,7 +228,8 @@ class DatapathExecutor {
     util::Relaxed<bool> shedding{false};
   };
 
-  /// One worker thread's reusable drain buffers.
+  /// One worker thread's drain buffers. `items` is reused; `group` is
+  /// handed to the pipeline and re-reserved for every same-tag run.
   struct DrainScratch {
     std::vector<WorkItem> items;
     packet::PacketBurst group;

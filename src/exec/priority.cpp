@@ -14,12 +14,14 @@ bool is_dhcp_port(std::uint16_t port) {
 }
 
 /// True when the ESP frame's SPI belongs to an in-flight rekey. `l3` is
-/// the frame payload starting at the IPv4 header.
-bool esp_is_control(const packet::Ipv4Header& ipv4,
-                    std::span<const std::uint8_t> l3) {
+/// the frame payload starting at the IPv4 header. The size checks keep a
+/// key that was not decoded from this frame from reading past its end.
+bool esp_is_control(std::span<const std::uint8_t> l3) {
   if (ControlSpiRegistry::instance().empty()) return false;
-  if (l3.size() < ipv4.header_size()) return false;
-  auto esp = packet::parse_esp(l3.subspan(ipv4.header_size()));
+  if (l3.empty()) return false;
+  const std::size_t ihl = static_cast<std::size_t>(l3[0] & 0x0F) * 4;
+  if (ihl < packet::kIpv4MinHeaderSize || l3.size() < ihl) return false;
+  auto esp = packet::parse_esp(l3.subspan(ihl));
   if (!esp) return false;
   return ControlSpiRegistry::instance().contains(esp.value().spi);
 }
@@ -50,24 +52,22 @@ bool ControlSpiRegistry::contains(std::uint32_t spi) const {
   return spis_.contains(spi);
 }
 
-FramePriority classify_priority(const packet::FlowFields& fields,
+FramePriority classify_priority(const packet::FlowKey& key,
                                 std::span<const std::uint8_t> frame) {
-  if (fields.eth.ether_type == packet::kEtherTypeArp) {
-    return FramePriority::kControl;
-  }
-  if (!fields.ipv4) return FramePriority::kBulk;
-  const packet::Ipv4Header& ipv4 = *fields.ipv4;
-  if (ipv4.protocol == packet::kIpProtoUdp) {
-    if ((fields.l4_src && is_dhcp_port(*fields.l4_src)) ||
-        (fields.l4_dst && is_dhcp_port(*fields.l4_dst))) {
+  if (key.eth_type == packet::kEtherTypeArp) return FramePriority::kControl;
+  if (!key.has_ipv4) return FramePriority::kBulk;
+  if (key.ip_proto == packet::kIpProtoUdp) {
+    if ((key.has_l4_src && is_dhcp_port(key.l4_src)) ||
+        (key.has_l4_dst && is_dhcp_port(key.l4_dst))) {
       return FramePriority::kControl;
     }
     return FramePriority::kBulk;
   }
-  if (ipv4.protocol == packet::kIpProtoEsp) {
-    const std::size_t l3_off = fields.eth.wire_size();
-    if (frame.size() > l3_off &&
-        esp_is_control(ipv4, frame.subspan(l3_off))) {
+  if (key.ip_proto == packet::kIpProtoEsp) {
+    const std::size_t l3_off =
+        packet::kEthernetHeaderSize +
+        (key.vlan == packet::kVlanUntagged ? 0 : packet::kVlanTagSize);
+    if (frame.size() > l3_off && esp_is_control(frame.subspan(l3_off))) {
       return FramePriority::kControl;
     }
   }
@@ -75,9 +75,9 @@ FramePriority classify_priority(const packet::FlowFields& fields,
 }
 
 FramePriority classify_priority(std::span<const std::uint8_t> frame) {
-  auto fields = packet::extract_flow_fields(frame);
-  if (!fields) return FramePriority::kBulk;
-  return classify_priority(fields.value(), frame);
+  packet::FlowKey key;
+  if (!packet::decode_flow_key(frame, key)) return FramePriority::kBulk;
+  return classify_priority(key, frame);
 }
 
 }  // namespace nnfv::exec

@@ -48,10 +48,12 @@ class ControlSpiRegistry {
   std::atomic<std::size_t> count_{0};
 };
 
-/// Classifies from already-extracted flow fields; `frame` is only peeked
-/// for the ESP SPI (the one field FlowFields does not carry), and only
-/// when a rekey is in flight.
-FramePriority classify_priority(const packet::FlowFields& fields,
+/// Classifies from an already-decoded flow key; `frame` is only peeked
+/// for the ESP SPI (the one field the key does not carry), and only when
+/// a rekey is in flight. `key` must be decode_flow_key(frame)'s output
+/// for this same frame; a mismatched pair is classified bulk, never read
+/// out of bounds.
+FramePriority classify_priority(const packet::FlowKey& key,
                                 std::span<const std::uint8_t> frame);
 
 /// Classifies a raw frame (submit-side shedding: nothing is decoded yet).

@@ -26,36 +26,27 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// RSS hash of a decoded flow. Symmetric inputs are NOT folded: the two
+/// RSS hash of a raw frame, over its decoded flow key; undecodable frames
+/// all map to shard 0's hash. Symmetric inputs are NOT folded: the two
 /// directions of a flow may land on different workers, which is fine —
 /// each direction's state (NAT by_original vs by_external rows, inbound
 /// vs outbound SA) is keyed per direction.
-inline std::uint64_t rss_hash(const packet::FlowFields& fields) {
-  if (fields.ipv4.has_value()) {
-    std::uint64_t key =
-        (static_cast<std::uint64_t>(fields.ipv4->src.value) << 32) |
-        fields.ipv4->dst.value;
-    std::uint64_t ports = fields.ipv4->protocol;
-    if (fields.l4_src.has_value()) {
-      ports = (ports << 16) | *fields.l4_src;
-    }
-    if (fields.l4_dst.has_value()) {
-      ports = (ports << 16) | *fields.l4_dst;
-    }
-    return mix64(key ^ mix64(ports));
-  }
-  std::uint64_t l2 = fields.eth.ether_type;
-  for (std::uint8_t b : fields.eth.src.bytes) l2 = (l2 << 8) | b;
-  std::uint64_t l2b = 0;
-  for (std::uint8_t b : fields.eth.dst.bytes) l2b = (l2b << 8) | b;
-  return mix64(l2 ^ mix64(l2b));
-}
-
-/// Hash of a raw frame; undecodable frames all map to shard 0's hash.
 inline std::uint64_t rss_hash_frame(std::span<const std::uint8_t> frame) {
-  auto fields = packet::extract_flow_fields(frame);
-  if (!fields.is_ok()) return 0;
-  return rss_hash(fields.value());
+  packet::FlowKey key;
+  if (!packet::decode_flow_key(frame, key)) return 0;
+  if (key.has_ipv4) {
+    const std::uint64_t addrs =
+        (static_cast<std::uint64_t>(key.ip_src) << 32) | key.ip_dst;
+    std::uint64_t ports = key.ip_proto;
+    if (key.has_l4_src) ports = (ports << 16) | key.l4_src;
+    if (key.has_l4_dst) ports = (ports << 16) | key.l4_dst;
+    return mix64(addrs ^ mix64(ports));
+  }
+  std::uint64_t l2 = key.eth_type;
+  for (std::uint8_t b : key.eth_src) l2 = (l2 << 8) | b;
+  std::uint64_t l2b = 0;
+  for (std::uint8_t b : key.eth_dst) l2b = (l2b << 8) | b;
+  return mix64(l2 ^ mix64(l2b));
 }
 
 /// Maps a hash to one of `workers` shards (1-based worker slots are the

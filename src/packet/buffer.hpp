@@ -202,6 +202,9 @@ class BurstGroups {
   auto begin() { return groups_.begin(); }
   auto end() { return groups_.end(); }
 
+  /// Forgets every group (after they have been sent).
+  void clear() { groups_.clear(); }
+
  private:
   std::size_t burst_size_;
   std::vector<std::pair<Port, PacketBurst>> groups_;

@@ -1,5 +1,7 @@
 #include "packet/flow_key.hpp"
 
+#include <cstring>
+
 #include "util/byteorder.hpp"
 
 namespace nnfv::packet {
@@ -55,6 +57,63 @@ Result<FlowFields> extract_flow_fields(std::span<const std::uint8_t> frame) {
     }
   }
   return fields;
+}
+
+bool decode_flow_key(std::span<const std::uint8_t> frame, FlowKey& key) {
+  // The checks below are parse_ethernet, parse_ipv4, parse_udp and
+  // parse_tcp's, in the order extract_flow_fields applies them, reading
+  // each field straight from the frame into the key.
+  using util::load_be16;
+  using util::load_be32;
+  const std::uint8_t* p = frame.data();
+  const std::size_t n = frame.size();
+  if (n < kEthernetHeaderSize) return false;
+  std::uint16_t type = load_be16(p + 12);
+  std::size_t l3_off = kEthernetHeaderSize;
+  key.vlan = kVlanUntagged;
+  if (type == kEtherTypeVlan) {
+    if (n < kEthernetHeaderSize + kVlanTagSize) return false;
+    key.vlan = static_cast<std::uint16_t>(load_be16(p + 14) & 0x0FFF);
+    type = load_be16(p + 16);
+    l3_off += kVlanTagSize;
+  }
+  std::memcpy(key.eth_dst.data(), p, 6);
+  std::memcpy(key.eth_src.data(), p + 6, 6);
+  key.eth_type = type;
+  key.has_ipv4 = key.has_l4_src = key.has_l4_dst = false;
+  key.ip_src = key.ip_dst = 0;
+  key.ip_proto = 0;
+  key.l4_src = key.l4_dst = 0;
+  if (type != kEtherTypeIpv4) return true;
+
+  // Short or garbled L3 leaves the key L2-only.
+  const std::uint8_t* l3 = p + l3_off;
+  const std::size_t l3_len = n - l3_off;
+  if (l3_len < kIpv4MinHeaderSize || (l3[0] >> 4) != 4) return true;
+  const std::size_t ihl = static_cast<std::size_t>(l3[0] & 0x0F) * 4;
+  if (ihl < kIpv4MinHeaderSize || ihl > l3_len || load_be16(l3 + 2) < ihl) {
+    return true;
+  }
+  key.has_ipv4 = true;
+  key.ip_proto = l3[9];
+  key.ip_src = load_be32(l3 + 12);
+  key.ip_dst = load_be32(l3 + 16);
+
+  const std::uint8_t* l4 = l3 + ihl;
+  const std::size_t l4_len = l3_len - ihl;
+  bool ports = false;
+  if (key.ip_proto == kIpProtoUdp) {
+    ports = l4_len >= kUdpHeaderSize && load_be16(l4 + 4) >= kUdpHeaderSize;
+  } else if (key.ip_proto == kIpProtoTcp && l4_len >= kTcpMinHeaderSize) {
+    const std::size_t data_offset = static_cast<std::size_t>(l4[12] >> 4) * 4;
+    ports = data_offset >= kTcpMinHeaderSize && data_offset <= l4_len;
+  }
+  if (ports) {
+    key.has_l4_src = key.has_l4_dst = true;
+    key.l4_src = load_be16(l4);
+    key.l4_dst = load_be16(l4 + 2);
+  }
+  return true;
 }
 
 Result<FiveTuple> extract_five_tuple(std::span<const std::uint8_t> ip_packet) {

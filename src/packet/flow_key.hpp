@@ -2,9 +2,11 @@
 // canonical 5-tuple used by NAT conntrack and firewall state.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "packet/headers.hpp"
@@ -35,7 +37,9 @@ struct FiveTupleHash {
   std::size_t operator()(const FiveTuple& t) const noexcept;
 };
 
-/// All fields an LSI flow table can match on, decoded once per packet.
+/// All fields an LSI flow table can match on, as parsed headers: the form
+/// control-plane code and tests use. The datapath decodes into the flat
+/// FlowKey below instead.
 struct FlowFields {
   EthernetHeader eth;
   std::optional<Ipv4Header> ipv4;
@@ -47,6 +51,41 @@ struct FlowFields {
 /// truncated L4 payloads simply leave the optional fields empty.
 util::Result<FlowFields> extract_flow_fields(
     std::span<const std::uint8_t> frame);
+
+/// VLAN value of FlowKey for a frame without an 802.1Q tag (no 12-bit VID
+/// can take it).
+inline constexpr std::uint16_t kVlanUntagged = 0xFFFF;
+
+/// The flat per-packet lookup key: every field a flow match can examine,
+/// normalised so two frames with equal keys are indistinguishable to any
+/// rule. Absent L3/L4 fields are zero with their has_* flag clear, so the
+/// key compares (and hashes) field by field.
+struct FlowKey {
+  std::uint32_t in_port = 0;  ///< set by the caller; decode leaves it alone
+  std::array<std::uint8_t, 6> eth_src{};
+  std::array<std::uint8_t, 6> eth_dst{};
+  std::uint16_t eth_type = 0;
+  std::uint16_t vlan = kVlanUntagged;
+  bool has_ipv4 = false;
+  std::uint32_t ip_src = 0;
+  std::uint32_t ip_dst = 0;
+  std::uint8_t ip_proto = 0;
+  // Tracked separately, mirroring a flow match, which checks the two L4
+  // ports independently (a hand-built context may set only one).
+  bool has_l4_src = false;
+  bool has_l4_dst = false;
+  std::uint16_t l4_src = 0;
+  std::uint16_t l4_dst = 0;
+
+  bool operator==(const FlowKey&) const = default;
+};
+
+/// Decodes Ethernet (+VLAN), IPv4 and L4 ports of `frame` into `key` in
+/// one pass, overwriting every field but in_port. Returns false, leaving
+/// `key` unspecified, for a frame extract_flow_fields rejects (runt or
+/// truncated tag); otherwise the key equals the one built from
+/// extract_flow_fields, including which L3/L4 fields stay unset.
+bool decode_flow_key(std::span<const std::uint8_t> frame, FlowKey& key);
 
 /// Extracts the 5-tuple from an IPv4 packet (no Ethernet header).
 util::Result<FiveTuple> extract_five_tuple(

@@ -13,7 +13,6 @@
 // still create many groups, but never more than distinct match shapes.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -27,27 +26,9 @@ struct FlowEntry;
 /// The canonical per-packet key: every field a FlowMatch can examine,
 /// decoded and normalised once per lookup (VLAN: kMatchUntagged when the
 /// frame carries no tag, so untagged-match and VID-match unify into exact
-/// equality).
-struct FlowKeyView {
-  PortId in_port = 0;
-  std::array<std::uint8_t, 6> eth_src{};
-  std::array<std::uint8_t, 6> eth_dst{};
-  std::uint16_t eth_type = 0;
-  std::uint16_t vlan = FlowMatch::kMatchUntagged;
-  bool has_ipv4 = false;
-  std::uint32_t ip_src = 0;
-  std::uint32_t ip_dst = 0;
-  std::uint8_t ip_proto = 0;
-  // Tracked separately, mirroring FlowMatch::matches which checks the two
-  // L4 ports independently (a hand-built context may set only one).
-  bool has_l4_src = false;
-  bool has_l4_dst = false;
-  std::uint16_t l4_src = 0;
-  std::uint16_t l4_dst = 0;
-
+/// equality). The datapath fills it with packet::decode_flow_key.
+struct FlowKeyView : packet::FlowKey {
   static FlowKeyView from_context(const FlowContext& ctx);
-
-  bool operator==(const FlowKeyView&) const = default;
 
   /// Hash over every field — used by the microflow cache.
   [[nodiscard]] std::uint64_t hash() const;

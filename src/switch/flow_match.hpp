@@ -32,7 +32,7 @@ inline std::uint32_t ipv4_prefix_mask(std::uint8_t prefix) {
 /// VLAN match semantics mirror OpenFlow 1.3: unset = wildcard;
 /// kMatchUntagged = packet must carry no tag; a VID matches tagged packets.
 struct FlowMatch {
-  static constexpr std::uint16_t kMatchUntagged = 0xFFFF;
+  static constexpr std::uint16_t kMatchUntagged = packet::kVlanUntagged;
 
   std::optional<PortId> in_port;
   std::optional<packet::MacAddress> eth_src;

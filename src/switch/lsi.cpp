@@ -1,5 +1,7 @@
 #include "switch/lsi.hpp"
 
+#include <iterator>
+
 #include "exec/priority.hpp"
 #include "util/logging.hpp"
 
@@ -98,51 +100,90 @@ void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
   stats.rx_packets += burst.size();
   processed_ += burst.size();
 
-  // Survivors grouped per egress port, same-port order preserved.
-  packet::BurstGroups<PortId> out(burst.size());
-  std::vector<PortId> outputs;
+  // Egress staging. While every survivor so far has exactly one output
+  // and it is the same port, survivors are compacted into the front of
+  // `burst` itself (`kept` frames bound for `kept_port`) and that vector
+  // is what leaves. The first frame that breaks this moves the prefix
+  // into per-port groups once; same-port order is kept either way.
+  std::size_t kept = 0;
+  PortId kept_port = kInvalidPort;
+  bool grouped = false;
+  packet::BurstGroups<PortId> groups(burst.size());
+  // Sends everything staged so far, so a controller's packet-out cannot
+  // overtake earlier frames of the burst bound for the same port.
+  auto flush = [&] {
+    if (grouped) {
+      for (auto& [p, group] : groups) transmit_burst(p, std::move(group));
+      groups.clear();
+      grouped = false;
+    } else if (kept != 0) {
+      transmit_burst(kept_port,
+                     packet::PacketBurst(
+                         std::make_move_iterator(burst.begin()),
+                         std::make_move_iterator(burst.begin() + kept)));
+    }
+    kept = 0;
+  };
+  auto punt = [&](const packet::PacketBuffer& frame) {
+    publish();
+    flush();
+    controller_->on_packet_in(*this, port, frame);
+  };
 
-  for (packet::PacketBuffer& frame : burst) {
+  std::vector<PortId> outputs;
+  FlowKeyView key;
+  key.in_port = port;
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    packet::PacketBuffer& frame = burst[i];
     rx_bytes += frame.size();
-    auto fields = packet::extract_flow_fields(frame.data());
-    if (!fields) {
+    if (!packet::decode_flow_key(frame.data(), key)) {
       NNFV_LOG(kDebug, "lsi") << name_ << ": unparseable frame dropped";
       continue;
     }
-    // Priority split from the fields already decoded for classification;
+    // Priority split from the key already decoded for classification;
     // only a rekey-ESP frame costs an extra peek (the SPI).
-    if (exec::classify_priority(fields.value(), frame.data()) ==
+    if (exec::classify_priority(key, frame.data()) ==
         exec::FramePriority::kControl) {
       ++control;
     } else {
       ++bulk;
     }
-    FlowContext ctx{port, fields.value()};
-    FlowEntry* entry = table_.lookup_key(FlowKeyView::from_context(ctx),
-                                         frame.size(), tally);
+    FlowEntry* entry = table_.lookup_key(key, frame.size(), tally);
     if (entry == nullptr) {
-      if (controller_ != nullptr) {
-        publish();
-        controller_->on_packet_in(*this, port, frame);
-      }
+      if (controller_ != nullptr) punt(frame);
       continue;
     }
     const ActionOutcome outcome =
         apply_actions(entry->actions, frame, outputs);
-    if (outcome.to_controller && controller_ != nullptr) {
-      publish();
-      controller_->on_packet_in(*this, port, frame);
-    }
+    if (outcome.to_controller && controller_ != nullptr) punt(frame);
     if (outcome.dropped || outputs.empty()) continue;
-    for (std::size_t i = 0; i + 1 < outputs.size(); ++i) {
-      out.add(outputs[i], frame.clone());
+    if (!grouped && outputs.size() == 1 &&
+        (kept == 0 || outputs[0] == kept_port)) {
+      kept_port = outputs[0];
+      if (kept != i) burst[kept] = std::move(frame);
+      ++kept;
+      continue;
     }
-    out.add(outputs.back(), std::move(frame));
+    if (!grouped) {
+      for (std::size_t k = 0; k < kept; ++k) {
+        groups.add(kept_port, std::move(burst[k]));
+      }
+      kept = 0;
+      grouped = true;
+    }
+    for (std::size_t o = 0; o + 1 < outputs.size(); ++o) {
+      groups.add(outputs[o], frame.clone());
+    }
+    groups.add(outputs.back(), std::move(frame));
   }
   publish();
-  burst.clear();
 
-  for (auto& [p, group] : out) transmit_burst(p, std::move(group));
+  if (grouped) {
+    flush();
+    return;
+  }
+  burst.erase(burst.begin() + static_cast<std::ptrdiff_t>(kept), burst.end());
+  if (kept != 0) transmit_burst(kept_port, std::move(burst));
 }
 
 void Lsi::transmit(PortId port, packet::PacketBuffer&& frame) {

@@ -45,7 +45,7 @@ struct PortStats {
   util::RelaxedCounter tx_no_peer;  ///< transmits with no peer attached
   /// Ingress priority split (exec/priority.hpp): control = ARP / DHCP /
   /// rekey ESP, bulk = everything else. Fed by receive_burst from the
-  /// flow fields it already decodes; overload shedding upstream uses
+  /// flow key it already decodes; overload shedding upstream uses
   /// the same classifier, so these two counters tell which class a
   /// congested port actually carried.
   util::RelaxedCounter rx_control;
@@ -84,10 +84,12 @@ class Lsi {
   /// Ingress: a frame arrives on `port`; runs the pipeline synchronously.
   void receive(PortId port, packet::PacketBuffer&& frame);
 
-  /// Burst ingress: classifies every frame, groups survivors per egress
-  /// port and transmits each group as one burst. Frames destined for the
-  /// same port keep their relative order; cross-port interleaving is not
-  /// preserved (documented in docs/datapath.md).
+  /// Burst ingress: decodes each frame's key once, classifies it and
+  /// transmits the survivors. When they all leave by one port they leave
+  /// in `burst`'s own vector; otherwise they are grouped per egress port
+  /// and each group is transmitted as one burst. Frames destined for the
+  /// same port keep their relative order, also across a controller
+  /// punt; cross-port interleaving is not preserved (docs/datapath.md).
   void receive_burst(PortId port, packet::PacketBurst&& burst);
 
   /// Egress helper used by controllers and the steering layer (packet-out).

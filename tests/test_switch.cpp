@@ -4,6 +4,7 @@
 
 #include "packet/builder.hpp"
 #include "switch/flow_table.hpp"
+#include "switch/learning_controller.hpp"
 #include "switch/lsi.hpp"
 #include "util/rng.hpp"
 
@@ -624,6 +625,386 @@ TEST(LsiBurst, BurstMissesPuntToController) {
   lsi.receive_burst(in, std::move(burst));
   EXPECT_EQ(controller.punts, 2);
   EXPECT_EQ(lsi.flow_table().misses(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// In-place compaction: a burst whose survivors all leave by one port is
+// sent in its own vector; anything else spills into per-port groups.
+// ---------------------------------------------------------------------------
+
+/// UDP source port of a frame: the tests below number frames by it.
+std::uint16_t seq_of(const packet::PacketBuffer& frame) {
+  auto fields = packet::extract_flow_fields(frame.data());
+  EXPECT_TRUE(fields.is_ok() && fields->l4_src.has_value());
+  return fields.is_ok() ? fields->l4_src.value_or(0) : 0;
+}
+
+/// Test LSI: ports in, a and b; rules by UDP destination port
+/// (1000 -> a, 2000 -> b, 3000 -> a + b, 9 -> drop). Every transmit is
+/// recorded as (port, frame numbers, vector storage).
+class BurstLsi {
+ public:
+  struct Tx {
+    PortId port;
+    std::vector<std::uint16_t> seqs;
+    const packet::PacketBuffer* storage;
+  };
+
+  BurstLsi() : lsi_(1, "compaction") {
+    in = lsi_.add_port("in").value();
+    a = lsi_.add_port("a").value();
+    b = lsi_.add_port("b").value();
+    for (PortId port : {a, b}) {
+      (void)lsi_.set_port_burst_peer(
+          port, [this, port](packet::PacketBurst&& burst) {
+            Tx tx{port, {}, burst.data()};
+            for (const packet::PacketBuffer& frame : burst) {
+              tx.seqs.push_back(seq_of(frame));
+            }
+            sent.push_back(std::move(tx));
+          });
+    }
+    to_a = add_rule(1000, {FlowAction::output(a)});
+    to_b = add_rule(2000, {FlowAction::output(b)});
+    to_both = add_rule(3000, {FlowAction::output(a), FlowAction::output(b)});
+    dropped = add_rule(9, {FlowAction::drop()});
+  }
+
+  static packet::PacketBuffer frame(std::uint16_t seq, std::uint16_t dport) {
+    return make_udp("1.1.1.1", "2.2.2.2", seq, dport);
+  }
+
+  /// Frames a port received, in order, over every transmit.
+  std::vector<std::uint16_t> received(PortId port) const {
+    std::vector<std::uint16_t> out;
+    for (const Tx& tx : sent) {
+      if (tx.port != port) continue;
+      out.insert(out.end(), tx.seqs.begin(), tx.seqs.end());
+    }
+    return out;
+  }
+
+  const PortStats& stats(PortId port) const { return *lsi_.port_stats(port); }
+  const FlowEntryStats& entry(FlowEntryId id) const {
+    return lsi_.flow_table().find(id)->stats;
+  }
+
+  Lsi& lsi() { return lsi_; }
+
+  PortId in = kInvalidPort, a = kInvalidPort, b = kInvalidPort;
+  FlowEntryId to_a = 0, to_b = 0, to_both = 0, dropped = 0;
+  std::vector<Tx> sent;
+
+ private:
+  FlowEntryId add_rule(std::uint16_t dport, std::vector<FlowAction> actions) {
+    FlowMatch match;
+    match.in_port = in;
+    match.tp_dst = dport;
+    return lsi_.flow_table().add(10, match, std::move(actions));
+  }
+
+  Lsi lsi_;
+};
+
+std::uint64_t bytes_of(const packet::PacketBurst& burst) {
+  std::uint64_t bytes = 0;
+  for (const packet::PacketBuffer& frame : burst) bytes += frame.size();
+  return bytes;
+}
+
+TEST(LsiBurst, SinglePortBurstLeavesInItsOwnStorage) {
+  BurstLsi t;
+  packet::PacketBurst burst;
+  for (std::uint16_t seq = 1; seq <= 8; ++seq) {
+    burst.push_back(BurstLsi::frame(seq, 1000));
+  }
+  const packet::PacketBuffer* storage = burst.data();
+  const std::uint64_t bytes = bytes_of(burst);
+  t.lsi().receive_burst(t.in, std::move(burst));
+
+  ASSERT_EQ(t.sent.size(), 1u);
+  EXPECT_EQ(t.sent[0].port, t.a);
+  EXPECT_EQ(t.sent[0].storage, storage);
+  EXPECT_EQ(t.received(t.a),
+            (std::vector<std::uint16_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(t.stats(t.in).rx_packets, 8u);
+  EXPECT_EQ(t.stats(t.in).rx_bytes, bytes);
+  EXPECT_EQ(t.stats(t.in).rx_bulk, 8u);
+  EXPECT_EQ(t.stats(t.a).tx_packets, 8u);
+  EXPECT_EQ(t.stats(t.a).tx_bytes, bytes);
+  EXPECT_EQ(t.stats(t.b).tx_packets, 0u);
+  EXPECT_EQ(t.entry(t.to_a).packets, 8u);
+  EXPECT_EQ(t.entry(t.to_a).bytes, bytes);
+  EXPECT_EQ(t.lsi().flow_table().cache_lookups(), 8u);
+}
+
+TEST(LsiBurst, RuntsAndDropsCompactAroundSurvivors) {
+  BurstLsi t;
+  packet::PacketBurst burst;
+  burst.push_back(packet::PacketBuffer::copy_of(
+      std::vector<std::uint8_t>(10, 0)));           // runt
+  burst.push_back(BurstLsi::frame(1, 1000));
+  burst.push_back(BurstLsi::frame(50, 9));          // drop rule
+  burst.push_back(BurstLsi::frame(51, 9));          // drop rule
+  burst.push_back(BurstLsi::frame(2, 1000));
+  std::vector<std::uint8_t> cut_tag(16, 0);         // truncated 802.1Q tag
+  cut_tag[12] = 0x81;
+  burst.push_back(packet::PacketBuffer::copy_of(cut_tag));
+  burst.push_back(BurstLsi::frame(3, 1000));
+  burst.push_back(BurstLsi::frame(52, 9));          // drop rule, last
+  const packet::PacketBuffer* storage = burst.data();
+  const std::uint64_t in_bytes = bytes_of(burst);
+  const std::uint64_t out_bytes = burst[1].size() * 3;
+  const std::uint64_t drop_bytes = burst[2].size() * 3;
+  t.lsi().receive_burst(t.in, std::move(burst));
+
+  ASSERT_EQ(t.sent.size(), 1u);
+  EXPECT_EQ(t.sent[0].storage, storage);
+  EXPECT_EQ(t.received(t.a), (std::vector<std::uint16_t>{1, 2, 3}));
+  EXPECT_EQ(t.stats(t.in).rx_packets, 8u);
+  EXPECT_EQ(t.stats(t.in).rx_bytes, in_bytes);
+  EXPECT_EQ(t.stats(t.in).rx_bulk, 6u);  // the two undecodable frames: none
+  EXPECT_EQ(t.stats(t.a).tx_packets, 3u);
+  EXPECT_EQ(t.stats(t.a).tx_bytes, out_bytes);
+  EXPECT_EQ(t.entry(t.to_a).packets, 3u);
+  EXPECT_EQ(t.entry(t.to_a).bytes, out_bytes);
+  EXPECT_EQ(t.entry(t.dropped).packets, 3u);
+  EXPECT_EQ(t.entry(t.dropped).bytes, drop_bytes);
+  EXPECT_EQ(t.lsi().flow_table().cache_lookups(), 6u);
+  EXPECT_EQ(t.lsi().flow_table().misses(), 0u);
+}
+
+TEST(LsiBurst, AllDroppedBurstSendsNothing) {
+  BurstLsi t;
+  packet::PacketBurst burst;
+  burst.push_back(BurstLsi::frame(1, 9));
+  burst.push_back(BurstLsi::frame(2, 9));
+  t.lsi().receive_burst(t.in, std::move(burst));
+  EXPECT_TRUE(t.sent.empty());
+  EXPECT_EQ(t.entry(t.dropped).packets, 2u);
+  EXPECT_EQ(t.stats(t.a).tx_packets + t.stats(t.b).tx_packets, 0u);
+}
+
+TEST(LsiBurst, InterleavedPortsKeepPerPortOrder) {
+  BurstLsi t;
+  packet::PacketBurst burst;
+  burst.push_back(BurstLsi::frame(1, 1000));  // A
+  burst.push_back(BurstLsi::frame(2, 1000));  // A
+  burst.push_back(BurstLsi::frame(3, 2000));  // B
+  burst.push_back(BurstLsi::frame(4, 1000));  // A
+  burst.push_back(BurstLsi::frame(5, 2000));  // B
+  burst.push_back(BurstLsi::frame(6, 1000));  // A
+  const std::uint64_t frame_bytes = burst[0].size();
+  t.lsi().receive_burst(t.in, std::move(burst));
+
+  // One transmit per port, in first-seen order.
+  ASSERT_EQ(t.sent.size(), 2u);
+  EXPECT_EQ(t.sent[0].port, t.a);
+  EXPECT_EQ(t.sent[1].port, t.b);
+  EXPECT_EQ(t.received(t.a), (std::vector<std::uint16_t>{1, 2, 4, 6}));
+  EXPECT_EQ(t.received(t.b), (std::vector<std::uint16_t>{3, 5}));
+  EXPECT_EQ(t.stats(t.a).tx_packets, 4u);
+  EXPECT_EQ(t.stats(t.a).tx_bytes, 4 * frame_bytes);
+  EXPECT_EQ(t.stats(t.b).tx_packets, 2u);
+  EXPECT_EQ(t.stats(t.b).tx_bytes, 2 * frame_bytes);
+  EXPECT_EQ(t.entry(t.to_a).packets, 4u);
+  EXPECT_EQ(t.entry(t.to_b).packets, 2u);
+  EXPECT_EQ(t.stats(t.in).rx_packets, 6u);
+}
+
+TEST(LsiBurst, MidBurstReplicaSpillsTheCompactedPrefix) {
+  BurstLsi t;
+  packet::PacketBurst burst;
+  burst.push_back(BurstLsi::frame(1, 1000));  // A
+  burst.push_back(BurstLsi::frame(2, 1000));  // A
+  burst.push_back(BurstLsi::frame(3, 3000));  // A + B replica
+  burst.push_back(BurstLsi::frame(4, 1000));  // A
+  const std::uint64_t frame_bytes = burst[0].size();
+  t.lsi().receive_burst(t.in, std::move(burst));
+
+  ASSERT_EQ(t.sent.size(), 2u);
+  EXPECT_EQ(t.sent[0].port, t.a);
+  EXPECT_EQ(t.received(t.a), (std::vector<std::uint16_t>{1, 2, 3, 4}));
+  EXPECT_EQ(t.received(t.b), (std::vector<std::uint16_t>{3}));
+  EXPECT_EQ(t.stats(t.a).tx_packets, 4u);
+  EXPECT_EQ(t.stats(t.a).tx_bytes, 4 * frame_bytes);
+  EXPECT_EQ(t.stats(t.b).tx_packets, 1u);
+  EXPECT_EQ(t.stats(t.b).tx_bytes, frame_bytes);
+  EXPECT_EQ(t.entry(t.to_a).packets, 3u);
+  EXPECT_EQ(t.entry(t.to_both).packets, 1u);
+  EXPECT_EQ(t.entry(t.to_both).bytes, frame_bytes);
+}
+
+packet::PacketBuffer station_frame(packet::MacAddress src,
+                                   packet::MacAddress dst, std::uint16_t seq,
+                                   std::uint16_t dport) {
+  packet::UdpFrameSpec spec;
+  spec.eth_src = src;
+  spec.eth_dst = dst;
+  spec.ip_src = *packet::Ipv4Address::parse("10.0.0.1");
+  spec.ip_dst = *packet::Ipv4Address::parse("10.0.0.2");
+  spec.src_port = seq;
+  spec.dst_port = dport;
+  return packet::build_udp_frame(spec);
+}
+
+TEST(LsiBurst, ControllerPacketOutDoesNotOvertakeEarlierFrames) {
+  // Frame 1 hits a rule to p2; frame 2 misses, and the learning controller
+  // knows its destination is behind p2, so it installs a rule and
+  // packet-outs frame 2 to p2 from inside the burst; frame 3 then hits
+  // that new rule. p2 must see 1, 2, 3.
+  Lsi lsi(1, "punt-order");
+  const PortId p1 = lsi.add_port("p1").value();
+  const PortId p2 = lsi.add_port("p2").value();
+  std::vector<std::uint16_t> at_p2;
+  (void)lsi.set_port_burst_peer(p2, [&](packet::PacketBurst&& burst) {
+    for (const packet::PacketBuffer& frame : burst) {
+      at_p2.push_back(seq_of(frame));
+    }
+  });
+  (void)lsi.set_port_burst_peer(p1, [](packet::PacketBurst&&) {});
+  LearningController controller;
+  lsi.set_controller(&controller);
+
+  const auto host_a = packet::MacAddress::from_id(0xA);
+  const auto host_b = packet::MacAddress::from_id(0xB);
+  const auto frame = station_frame;
+  // B talks first (from p2, to an unknown station): the controller learns
+  // B behind p2 and floods.
+  lsi.receive(p2, frame(host_b, packet::MacAddress::from_id(0xC), 100, 1));
+  ASSERT_EQ(controller.known_stations(), 1u);
+  FlowMatch static_rule;
+  static_rule.in_port = p1;
+  static_rule.tp_dst = 7;
+  lsi.flow_table().add(20, static_rule, {FlowAction::output(p2)});
+  at_p2.clear();
+
+  packet::PacketBurst burst;
+  burst.push_back(frame(host_a, host_b, 1, 7));  // static rule -> p2
+  burst.push_back(frame(host_a, host_b, 2, 8));  // miss -> packet-out p2
+  burst.push_back(frame(host_a, host_b, 3, 8));  // learned rule -> p2
+  lsi.receive_burst(p1, std::move(burst));
+
+  EXPECT_EQ(at_p2, (std::vector<std::uint16_t>{1, 2, 3}));
+  EXPECT_EQ(controller.packet_ins(), 2u);
+  EXPECT_EQ(controller.rules_installed(), 1u);
+  EXPECT_EQ(lsi.port_stats(p2)->tx_packets, 3u);
+  EXPECT_EQ(lsi.port_stats(p1)->rx_packets, 3u);
+  EXPECT_EQ(lsi.flow_table().misses(), 2u);  // B's flood + frame 2
+}
+
+TEST(LsiBurst, PuntAfterSpillFlushesGroupsThenCompactsAgain) {
+  // Each burst has already spilled into per-port groups (p2, p3) when a
+  // frame misses and is packet-out. The groups must leave before the
+  // packet-out, and the frames after the punt compact again into slots
+  // whose frames already left: in burst 1 they spill a second time, in
+  // burst 2 they leave in the input vector's own storage.
+  Lsi lsi(1, "punt-after-spill");
+  const PortId p1 = lsi.add_port("p1").value();
+  const PortId p2 = lsi.add_port("p2").value();
+  const PortId p3 = lsi.add_port("p3").value();
+  struct Tx {
+    PortId port;
+    std::vector<std::uint16_t> seqs;
+    const packet::PacketBuffer* storage;
+  };
+  std::vector<Tx> sent;
+  for (PortId port : {p1, p2, p3}) {
+    (void)lsi.set_port_burst_peer(
+        port, [&sent, port](packet::PacketBurst&& burst) {
+          Tx tx{port, {}, burst.data()};
+          for (const packet::PacketBuffer& frame : burst) {
+            tx.seqs.push_back(seq_of(frame));
+          }
+          sent.push_back(std::move(tx));
+        });
+  }
+  auto received = [&sent](PortId port) {
+    std::vector<std::uint16_t> out;
+    for (const Tx& tx : sent) {
+      if (tx.port != port) continue;
+      out.insert(out.end(), tx.seqs.begin(), tx.seqs.end());
+    }
+    return out;
+  };
+  LearningController controller;
+  lsi.set_controller(&controller);
+
+  const auto host_a = packet::MacAddress::from_id(0xA);
+  const auto host_b = packet::MacAddress::from_id(0xB);
+  const auto host_c = packet::MacAddress::from_id(0xC);
+  // B talks from p2 and C from p3 (to an unknown station, flooded): the
+  // controller learns B behind p2 and C behind p3.
+  const auto nobody = packet::MacAddress::from_id(0xD);
+  lsi.receive(p2, station_frame(host_b, nobody, 100, 1));
+  lsi.receive(p3, station_frame(host_c, nobody, 101, 1));
+  ASSERT_EQ(controller.known_stations(), 2u);
+  FlowMatch to_p2;
+  to_p2.in_port = p1;
+  to_p2.tp_dst = 7;
+  const FlowEntryId static_p2 =
+      lsi.flow_table().add(20, to_p2, {FlowAction::output(p2)});
+  FlowMatch to_p3;
+  to_p3.in_port = p1;
+  to_p3.tp_dst = 9;
+  const FlowEntryId static_p3 =
+      lsi.flow_table().add(20, to_p3, {FlowAction::output(p3)});
+  sent.clear();
+  const std::uint64_t p2_tx = lsi.port_stats(p2)->tx_packets;
+  const std::uint64_t p3_tx = lsi.port_stats(p3)->tx_packets;
+
+  packet::PacketBurst burst;
+  burst.push_back(station_frame(host_a, host_b, 1, 7));  // p2
+  burst.push_back(station_frame(host_a, host_b, 2, 9));  // p3: spill
+  burst.push_back(station_frame(host_a, host_b, 3, 7));  // p2 group
+  burst.push_back(station_frame(host_a, host_b, 4, 8));  // miss: out p2
+  burst.push_back(station_frame(host_a, host_b, 5, 8));  // learned: p2
+  burst.push_back(station_frame(host_a, host_b, 6, 9));  // p3: spill again
+  burst.push_back(station_frame(host_a, host_b, 7, 7));  // p2 group
+  const std::uint64_t frame_bytes = burst[0].size();
+  lsi.receive_burst(p1, std::move(burst));
+
+  EXPECT_EQ(received(p2), (std::vector<std::uint16_t>{1, 3, 4, 5, 7}));
+  EXPECT_EQ(received(p3), (std::vector<std::uint16_t>{2, 6}));
+  EXPECT_EQ(lsi.port_stats(p2)->tx_packets - p2_tx, 5u);
+  EXPECT_EQ(lsi.port_stats(p3)->tx_packets - p3_tx, 2u);
+
+  sent.clear();
+  burst.clear();
+  burst.push_back(station_frame(host_a, host_c, 11, 9));  // p3
+  burst.push_back(station_frame(host_a, host_c, 12, 7));  // p2: spill
+  burst.push_back(station_frame(host_a, host_c, 13, 8));  // miss: out p3
+  burst.push_back(station_frame(host_a, host_c, 14, 8));  // learned: p3
+  burst.push_back(station_frame(host_a, host_c, 15, 9));  // p3
+  const packet::PacketBuffer* storage = burst.data();
+  lsi.receive_burst(p1, std::move(burst));
+
+  EXPECT_EQ(received(p2), (std::vector<std::uint16_t>{12}));
+  EXPECT_EQ(received(p3), (std::vector<std::uint16_t>{11, 13, 14, 15}));
+  ASSERT_FALSE(sent.empty());
+  EXPECT_EQ(sent.back().port, p3);
+  EXPECT_EQ(sent.back().seqs, (std::vector<std::uint16_t>{14, 15}));
+  EXPECT_EQ(sent.back().storage, storage);
+
+  EXPECT_EQ(lsi.port_stats(p2)->tx_packets - p2_tx, 6u);
+  EXPECT_EQ(lsi.port_stats(p3)->tx_packets - p3_tx, 6u);
+  EXPECT_EQ(lsi.port_stats(p1)->rx_packets, 12u);
+  EXPECT_EQ(lsi.port_stats(p1)->rx_bytes, 12 * frame_bytes);
+  EXPECT_EQ(controller.packet_ins(), 4u);  // two floods, frames 4 and 13
+  EXPECT_EQ(controller.rules_installed(), 2u);
+  EXPECT_EQ(lsi.flow_table().misses(), 4u);
+  const FlowTable& table = lsi.flow_table();
+  EXPECT_EQ(table.find(static_p2)->stats.packets, 4u);
+  EXPECT_EQ(table.find(static_p2)->stats.bytes, 4 * frame_bytes);
+  EXPECT_EQ(table.find(static_p3)->stats.packets, 4u);
+  EXPECT_EQ(table.find(static_p3)->stats.bytes, 4 * frame_bytes);
+  // The learned rules carried frames 5 and 14 only: 4 and 13 missed and
+  // left by packet-out.
+  std::uint64_t learned = 0;
+  for (FlowEntryId id : table.entries_by_cookie(0xC0DE)) {
+    learned += table.find(id)->stats.packets;
+  }
+  EXPECT_EQ(learned, 2u);
 }
 
 }  // namespace
