@@ -8,14 +8,20 @@
 // bench_json.hpp; the headline `speedup_vs_linear` at 1024 entries is the
 // acceptance metric for the classifier rewrite. The `lsi_hop_*` rows time
 // one whole switch hop (decode, priority split, lookup, actions, egress)
-// per frame through Lsi::receive_burst; they report ns_per_op only.
+// per frame through Lsi::receive_burst; the `nat_hit_*` rows time a NAT
+// session hit per frame (decode, lookup, in-place rewrite) and the
+// `internet_checksum_*` rows the checksum kernel per call. Those rows
+// report ns_per_op only.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "nnf/nat.hpp"
 #include "packet/builder.hpp"
+#include "packet/checksum.hpp"
 #include "switch/flow_table.hpp"
 #include "switch/lsi.hpp"
 
@@ -137,6 +143,49 @@ std::pair<double, std::uint64_t> measure_lsi_hop(
   return {ns / kHopBurst, iters};
 }
 
+/// NAT session hits: 32-frame bursts of `frame_size` B UDP frames over 32
+/// established flows, LAN to WAN through Nat::process_burst. Between
+/// bursts each frame gets its 42 header bytes back from a copy, so every
+/// burst translates the same inside flows; the restore is in the time.
+/// The NAT sums the UDP checksum over the whole datagram, so the time
+/// grows with `frame_size`.
+/// Returns {ns per frame, bursts timed}.
+std::pair<double, std::uint64_t> measure_nat_hit(std::size_t frame_size) {
+  constexpr std::size_t kHeaders = 14 + 20 + 8;
+  nnf::Nat nat;
+  (void)nat.configure(nnf::kDefaultContext, {{"external_ip", "203.0.113.1"}});
+  const std::vector<std::uint8_t> payload(frame_size - kHeaders, 0x5A);
+  packet::PacketBurst burst;
+  std::vector<std::array<std::uint8_t, kHeaders>> headers(kHopBurst);
+  for (int i = 0; i < kHopBurst; ++i) {
+    packet::UdpFrameSpec spec;
+    spec.ip_src = *packet::Ipv4Address::parse("192.168.1.10");
+    spec.ip_dst = *packet::Ipv4Address::parse("198.51.100.7");
+    spec.src_port = static_cast<std::uint16_t>(40000 + i);
+    spec.dst_port = 443;
+    spec.payload = payload;
+    burst.push_back(packet::build_udp_frame(spec));
+    std::copy_n(burst.back().data().begin(), kHeaders,
+                headers[static_cast<std::size_t>(i)].begin());
+  }
+  auto restore = [&]() {
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      std::copy(headers[i].begin(), headers[i].end(),
+                burst[i].data().begin());
+    }
+  };
+  auto translate = [&]() {
+    auto outs = nat.process_burst(nnf::kDefaultContext, 0, 0,
+                                  std::move(burst));
+    burst.clear();
+    for (nnf::NfOutput& out : outs) burst.push_back(std::move(out.frame));
+    restore();
+  };
+  translate();  // opens the 32 sessions
+  auto [ns, iters] = bench::measure_ns(translate);
+  return {ns / kHopBurst, iters};
+}
+
 struct Scenario {
   const char* name;
   std::uint16_t vlan;  ///< packet VLAN for this scenario
@@ -255,6 +304,25 @@ int main(int argc, char** argv) {
     auto [hop_ns, hop_iters] = measure_lsi_hop(hop.flows, hop.port_of);
     std::printf("%-28s %12s %12.1f\n", hop.name, "-", hop_ns);
     report.add(hop.name, hop_iters, hop_ns);
+  }
+
+  for (std::size_t size : {64u, 1408u}) {
+    auto [nat_ns, nat_iters] = measure_nat_hit(size);
+    const std::string name = "nat_hit_" + std::to_string(size);
+    std::printf("%-28s %12s %12.1f\n", name.c_str(), "-", nat_ns);
+    report.add(name, nat_iters, nat_ns);
+  }
+  for (std::size_t size : {20u, 72u, 1408u}) {
+    std::vector<std::uint8_t> data(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    }
+    auto [sum_ns, sum_iters] = bench::measure_ns([&]() {
+      bench::do_not_optimize(packet::internet_checksum(data));
+    });
+    const std::string name = "internet_checksum_" + std::to_string(size);
+    std::printf("%-28s %12s %12.1f\n", name.c_str(), "-", sum_ns);
+    report.add(name, sum_iters, sum_ns);
   }
 
   std::printf("\nacceptance: 1024-entry multiflow speedup %.1fx "

@@ -161,24 +161,24 @@ std::vector<NfOutput> Firewall::process_burst(ContextId ctx,
     out.reserve(burst.size());
     const ContextState& state = state_[ctx];
     const NfPortIndex out_port = in_port == 0 ? 1u : 0u;
+    packet::Ipv4Tuple decoded;
     for (packet::PacketBuffer& frame : burst) {
-      auto eth = packet::parse_ethernet(frame.data());
-      if (!eth) {
+      const packet::Ipv4Decode decode =
+          packet::decode_ipv4_tuple(frame.data(), decoded);
+      if (decode == packet::Ipv4Decode::kRunt) {
         ++tally.errors;
+        continue;
+      }
+      if (decode == packet::Ipv4Decode::kMalformed) {
+        ++tally.dropped;  // malformed IP: drop
         continue;
       }
       // Non-IP (e.g. ARP) always passes, like iptables.
       FilterVerdict verdict = FilterVerdict::kAccept;
-      if (eth->ether_type == packet::kEtherTypeIpv4) {
-        auto tuple =
-            packet::extract_five_tuple(frame.data().subspan(eth->wire_size()));
-        if (!tuple) {
-          ++tally.dropped;  // malformed IP: drop
-          continue;
-        }
+      if (decode == packet::Ipv4Decode::kOk) {
         verdict = state.policy;
         for (const FilterRule& rule : state.rules) {
-          if (rule.matches(in_port, tuple.value())) {
+          if (rule.matches(in_port, decoded.tuple)) {
             verdict = rule.verdict;
             break;
           }

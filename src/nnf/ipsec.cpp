@@ -8,6 +8,7 @@
 #include "crypto/hmac.hpp"
 #include "exec/priority.hpp"
 #include "packet/checksum.hpp"
+#include "packet/flow_key.hpp"
 #include "util/byteorder.hpp"
 #include "util/strings.hpp"
 
@@ -552,20 +553,16 @@ bool IpsecEndpoint::fast_path_ok(const Tunnel& tunnel, NfPortIndex in_port,
 
 std::optional<std::span<const std::uint8_t>> IpsecEndpoint::parse_inner_ipv4(
     const packet::PacketBuffer& frame) {
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth || eth->ether_type != packet::kEtherTypeIpv4) {
-    ++stats_shard().malformed;
-    return std::nullopt;
-  }
   // Inner packet = everything after the Ethernet header, trimmed to the IP
-  // total length (drops any Ethernet padding).
-  auto l3 = frame.data().subspan(eth->wire_size());
-  auto inner_ip = packet::parse_ipv4(l3);
-  if (!inner_ip || inner_ip->total_length > l3.size()) {
+  // total length (drops any Ethernet padding). Tunnel mode carries any
+  // transport, so only the headers up to IPv4 are checked.
+  packet::Ipv4Tuple ip;
+  if (packet::decode_ipv4(frame.data(), ip) != packet::Ipv4Decode::kOk ||
+      ip.total_length > frame.size() - ip.l3_off) {
     ++stats_shard().malformed;
     return std::nullopt;
   }
-  return std::span<const std::uint8_t>{l3.data(), inner_ip->total_length};
+  return frame.data().subspan(ip.l3_off, ip.total_length);
 }
 
 void IpsecEndpoint::write_outer_headers(const Tunnel& tunnel,
@@ -598,26 +595,23 @@ void IpsecEndpoint::write_outer_headers(const Tunnel& tunnel,
 std::optional<IpsecEndpoint::EspIngress> IpsecEndpoint::parse_esp_ingress(
     ContextId ctx, Tunnel& tunnel, const packet::PacketBuffer& frame,
     std::size_t min_esp_payload) {
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth || eth->ether_type != packet::kEtherTypeIpv4) {
+  packet::Ipv4Tuple ip;
+  if (packet::decode_ipv4(frame.data(), ip) != packet::Ipv4Decode::kOk ||
+      ip.tuple.protocol != packet::kIpProtoEsp ||
+      ip.total_length > frame.size() - ip.l3_off) {
     ++stats_shard().malformed;
     return std::nullopt;
   }
-  auto l3 = frame.data().subspan(eth->wire_size());
-  auto ip = packet::parse_ipv4(l3);
-  if (!ip || ip->protocol != packet::kIpProtoEsp ||
-      ip->total_length > l3.size()) {
-    ++stats_shard().malformed;
-    return std::nullopt;
-  }
-  if (!(ip->dst == tunnel.local_ip)) {
+  if (!(ip.tuple.dst_ip == tunnel.local_ip)) {
     ++stats_shard().no_sa;
     return std::nullopt;
   }
-  // parse_ipv4 guarantees total_length >= header_size, so this span is
+  // decode_ipv4 guarantees total_length >= header_size, so this span is
   // in-bounds even for truncated garbage.
-  auto esp_area = l3.subspan(ip->header_size(),
-                             ip->total_length - ip->header_size());
+  const std::size_t esp_off =
+      static_cast<std::size_t>(ip.l3_off) + ip.header_size;
+  auto esp_area =
+      frame.data().subspan(esp_off, ip.total_length - ip.header_size);
   if (esp_area.size() < min_esp_payload) {
     ++stats_shard().malformed;
     return std::nullopt;
@@ -662,8 +656,6 @@ std::optional<IpsecEndpoint::EspIngress> IpsecEndpoint::parse_esp_ingress(
   // the replay update.
   const std::uint64_t seq =
       sa->esn ? esn_recover_seq(*sa, esp->sequence) : esp->sequence;
-  const std::size_t esp_off =
-      static_cast<std::size_t>(esp_area.data() - frame.data().data());
   return EspIngress{esp_area, esp_off, seq, sa, keymat};
 }
 

@@ -62,32 +62,37 @@ bool PortPool::in_use(std::uint16_t port) const {
 
 namespace {
 
-/// Writes a new src/dst address + transport port into the frame whose
-/// IPv4 header (`header`, already decoded) sits at `l3_off`, computing the
-/// IPv4 and L4 checksums once each from the known header.
-void rewrite(packet::PacketBuffer& frame, std::size_t l3_off,
-             const packet::Ipv4Header& header, bool rewrite_src,
-             packet::Ipv4Address new_addr, std::uint16_t new_port) {
+/// Rewrites in place the source address and port (outbound) or the
+/// destination address and port (inbound) of the frame `d` describes; an
+/// ICMP echo has its identifier rewritten instead of a port. Only those
+/// bytes and the IPv4 and L4 checksums change: the IPv4 header checksum by
+/// an RFC 1624 update, the L4 checksum by a full sum over the segment.
+void rewrite(packet::PacketBuffer& frame, const packet::Ipv4Tuple& d,
+             bool outbound, packet::Ipv4Address new_addr,
+             std::uint16_t new_port) {
   frame.unshare();  // flooded replicas share bytes until first write
-  packet::Ipv4Header ip = header;
-  if (rewrite_src) {
-    ip.src = new_addr;
-  } else {
-    ip.dst = new_addr;
-  }
   const std::span<std::uint8_t> bytes = frame.data();
-  packet::write_ipv4(ip, bytes.subspan(l3_off, ip.header_size()));
-  const std::size_t l4_off = l3_off + ip.header_size();
-  if (ip.protocol == packet::kIpProtoTcp ||
-      ip.protocol == packet::kIpProtoUdp) {
-    // Port field offset: src at 0, dst at 2.
-    const std::size_t port_off = l4_off + (rewrite_src ? 0 : 2);
-    util::store_be16(bytes.data() + port_off, new_port);
-  } else if (ip.protocol == packet::kIpProtoIcmp) {
-    // Rewrite the echo identifier.
-    util::store_be16(bytes.data() + l4_off + 4, new_port);
+  std::uint8_t* l3 = bytes.data() + d.l3_off;
+  std::uint8_t* l4 = l3 + d.header_size;
+  const packet::FiveTuple& t = d.tuple;
+  const std::uint32_t old_addr = outbound ? t.src_ip.value : t.dst_ip.value;
+  util::store_be32(l3 + (outbound ? 12 : 16), new_addr.value);
+  util::store_be16(l3 + 10,
+                   packet::checksum_update32(util::load_be16(l3 + 10),
+                                             old_addr, new_addr.value));
+  if (t.protocol == packet::kIpProtoTcp ||
+      t.protocol == packet::kIpProtoUdp) {
+    util::store_be16(l4 + (outbound ? 0 : 2), new_port);
+  } else if (t.protocol == packet::kIpProtoIcmp) {
+    util::store_be16(l4 + 4, new_port);
   }
-  packet::fix_l4_checksum(bytes, l3_off, ip);
+  packet::Ipv4Header ip;
+  ip.ihl = static_cast<std::uint8_t>(d.header_size / 4);
+  ip.total_length = d.total_length;
+  ip.protocol = t.protocol;
+  ip.src = outbound ? new_addr : t.src_ip;
+  ip.dst = outbound ? t.dst_ip : new_addr;
+  packet::fix_l4_checksum(bytes, d.l3_off, ip);
 }
 
 /// The by_external key port: for ICMP echo replies the identifier is
@@ -195,19 +200,11 @@ util::Result<std::uint16_t> Nat::allocate_port(ContextState& state,
   return util::resource_exhausted("nat: port pool exhausted");
 }
 
-std::optional<Nat::Parsed> Nat::parse(const packet::PacketBuffer& frame) {
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth || eth->ether_type != packet::kEtherTypeIpv4) return std::nullopt;
-  auto ip = packet::parse_ipv4(frame.data().subspan(eth->wire_size()));
-  if (!ip) return std::nullopt;
-  return Parsed{eth->wire_size(), ip.value(), {}};
-}
-
 Nat::Step Nat::translate_fast(ContextState& state, NfPortIndex in_port,
                               sim::SimTime now, packet::PacketBuffer& frame,
-                              const Parsed& parsed) {
+                              const packet::Ipv4Tuple& decoded) {
   if (sweep_due(state, now)) return Step::kSlowPath;
-  const packet::FiveTuple& tuple = parsed.tuple;
+  const packet::FiveTuple& tuple = decoded.tuple;
   if (in_port == 0) {
     auto it = state.by_original.find(tuple);
     if (it == state.by_original.end() ||
@@ -215,7 +212,7 @@ Nat::Step Nat::translate_fast(ContextState& state, NfPortIndex in_port,
       return Step::kSlowPath;  // miss or stale hit
     }
     it->second.last_seen = now;
-    rewrite(frame, parsed.l3_off, parsed.ip, /*rewrite_src=*/true,
+    rewrite(frame, decoded, /*outbound=*/true,
             state.external_ip, it->second.external_port);
     return Step::kForward;
   }
@@ -229,16 +226,16 @@ Nat::Step Nat::translate_fast(ContextState& state, NfPortIndex in_port,
   }
   session->second.last_seen = now;
   const packet::FiveTuple original = session->second.original;
-  rewrite(frame, parsed.l3_off, parsed.ip, /*rewrite_src=*/false,
+  rewrite(frame, decoded, /*outbound=*/false,
           original.src_ip, original.src_port);
   return Step::kForward;
 }
 
 bool Nat::translate_slow(ContextState& state, NfPortIndex in_port,
                          sim::SimTime now, packet::PacketBuffer& frame,
-                         const Parsed& parsed) {
+                         const packet::Ipv4Tuple& decoded) {
   if (sweep_due(state, now)) sweep(state, now);
-  const packet::FiveTuple& tuple = parsed.tuple;
+  const packet::FiveTuple& tuple = decoded.tuple;
 
   if (in_port == 0) {
     // Outbound: find or create a session.
@@ -256,7 +253,7 @@ bool Nat::translate_slow(ContextState& state, NfPortIndex in_port,
       state.by_external[{tuple.protocol, port.value()}] = tuple;
     }
     it->second.last_seen = now;
-    rewrite(frame, parsed.l3_off, parsed.ip, /*rewrite_src=*/true,
+    rewrite(frame, decoded, /*outbound=*/true,
             state.external_ip, it->second.external_port);
     return true;
   }
@@ -277,7 +274,7 @@ bool Nat::translate_slow(ContextState& state, NfPortIndex in_port,
   }
   session->second.last_seen = now;
   const packet::FiveTuple original = session->second.original;
-  rewrite(frame, parsed.l3_off, parsed.ip, /*rewrite_src=*/false,
+  rewrite(frame, decoded, /*outbound=*/false,
           original.src_ip, original.src_port);
   return true;
 }
@@ -302,27 +299,29 @@ std::vector<NfOutput> Nat::process_burst(ContextId ctx, NfPortIndex in_port,
     // A frame that needs the slow path trades it for the unique lock for
     // that frame alone, so outputs stay in frame order.
     std::shared_lock<std::shared_mutex> shared(state.mutex);
+    packet::Ipv4Tuple decoded;
     for (packet::PacketBuffer& frame : burst) {
-      auto parsed = parse(frame);
-      if (!parsed) {
+      const packet::Ipv4Decode verdict =
+          packet::decode_ipv4_tuple(frame.data(), decoded);
+      if (verdict == packet::Ipv4Decode::kRunt ||
+          verdict == packet::Ipv4Decode::kNotIpv4) {
         // Non-IP traffic passes through untranslated (L2 bridging
         // behaviour).
         out.push_back(NfOutput{out_port, std::move(frame)});
         continue;
       }
-      auto tuple =
-          packet::extract_five_tuple(frame.data().subspan(parsed->l3_off));
-      if (!tuple) {
+      if (verdict == packet::Ipv4Decode::kMalformed) {
+        // Never forward an IPv4 frame untranslated: it would leak the
+        // inside address.
         ++tally.dropped;
         continue;
       }
-      parsed->tuple = tuple.value();
-      Step step = translate_fast(state, in_port, now, frame, *parsed);
+      Step step = translate_fast(state, in_port, now, frame, decoded);
       if (step == Step::kSlowPath) {
         shared.unlock();
         {
           std::unique_lock<std::shared_mutex> lock(state.mutex);
-          step = translate_slow(state, in_port, now, frame, *parsed)
+          step = translate_slow(state, in_port, now, frame, decoded)
                      ? Step::kForward
                      : Step::kDrop;
         }

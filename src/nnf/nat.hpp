@@ -5,7 +5,9 @@
 // inbound packets matching a tracked connection are rewritten back and
 // forwarded inside; unsolicited inbound traffic is dropped. Per-context
 // conntrack tables and disjoint port pools make the NAT sharable across
-// service graphs.
+// service graphs. Translation rewrites only the address, port (or ICMP
+// identifier) and checksum bytes in place; IPv4 frames that fail to
+// decode are dropped, never forwarded untranslated (docs/datapath.md §2).
 //
 // Threading (docs/datapath.md §6): each context carries a shared_mutex.
 // A burst takes it shared once; steady-state packets (session hit, not
@@ -20,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -137,26 +138,17 @@ class Nat : public NetworkFunction {
     return now - state.last_sweep >= state.idle_timeout;
   }
 
-  /// A frame's IPv4 header and its offset, decoded once per frame.
-  struct Parsed {
-    std::size_t l3_off = 0;
-    packet::Ipv4Header ip;
-    packet::FiveTuple tuple;
-  };
-  /// Ethernet + IPv4 decode; nullopt for non-IP frames.
-  static std::optional<Parsed> parse(const packet::PacketBuffer& frame);
-
   enum class Step { kForward, kDrop, kSlowPath };
   /// Session-hit fast path under the context's shared lock: rewrites and
   /// forwards, drops unsolicited inbound traffic, or defers anything that
   /// mutates the tables (setup, stale eviction, sweep) to the slow path.
   static Step translate_fast(ContextState& state, NfPortIndex in_port,
                              sim::SimTime now, packet::PacketBuffer& frame,
-                             const Parsed& parsed);
+                             const packet::Ipv4Tuple& decoded);
   /// Slow path under the unique lock; returns false when the frame drops.
   bool translate_slow(ContextState& state, NfPortIndex in_port,
                       sim::SimTime now, packet::PacketBuffer& frame,
-                      const Parsed& parsed);
+                      const packet::Ipv4Tuple& decoded);
 
   /// Full-table sweep; requires the context's unique lock.
   void sweep(ContextState& state, sim::SimTime now);

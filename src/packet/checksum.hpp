@@ -21,4 +21,20 @@ std::uint16_t l4_checksum(Ipv4Address src, Ipv4Address dst,
                           std::span<const std::uint8_t> l4_segment,
                           std::size_t checksum_offset);
 
+/// RFC 1624 eqn. 3 incremental update, HC' = ~(~HC + ~m + m'): the
+/// checksum `check` of data in which the 32-bit field `old_value` became
+/// `new_value` (an IPv4 address the NAT rewrote in the header). A 32-bit
+/// value is congruent mod 0xFFFF to the sum of its 16-bit halves, so it
+/// is added whole. The sum starts at 0xFFFF (one's-complement -0) so it
+/// never folds to +0: for any data that is not all zero, the result
+/// equals a full recompute over the updated data.
+inline std::uint16_t checksum_update32(std::uint16_t check,
+                                       std::uint32_t old_value,
+                                       std::uint32_t new_value) {
+  std::uint64_t sum = 0xFFFFu + static_cast<std::uint16_t>(~check) +
+                      static_cast<std::uint64_t>(~old_value) + new_value;
+  while ((sum >> 16) != 0) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum);
+}
+
 }  // namespace nnfv::packet

@@ -8,6 +8,51 @@ namespace nnfv::packet {
 
 using util::Result;
 
+namespace {
+
+/// parse_ethernet's checks: false for a runt (short frame or truncated
+/// 802.1Q tag); otherwise the ethertype after any tag and the offset of
+/// the L3 header.
+bool locate_l3(std::span<const std::uint8_t> frame, std::uint16_t& type,
+               std::size_t& l3_off) {
+  if (frame.size() < kEthernetHeaderSize) return false;
+  type = util::load_be16(frame.data() + 12);
+  l3_off = kEthernetHeaderSize;
+  if (type == kEtherTypeVlan) {
+    if (frame.size() < kEthernetHeaderSize + kVlanTagSize) return false;
+    type = util::load_be16(frame.data() + 16);
+    l3_off += kVlanTagSize;
+  }
+  return true;
+}
+
+/// parse_ipv4's checks on the `l3_len` bytes at `l3`: the IHL in bytes,
+/// or 0 when the header is rejected.
+std::size_t ipv4_header_size(const std::uint8_t* l3, std::size_t l3_len) {
+  if (l3_len < kIpv4MinHeaderSize || (l3[0] >> 4) != 4) return 0;
+  const std::size_t ihl = static_cast<std::size_t>(l3[0] & 0x0F) * 4;
+  if (ihl < kIpv4MinHeaderSize || ihl > l3_len ||
+      util::load_be16(l3 + 2) < ihl) {
+    return 0;
+  }
+  return ihl;
+}
+
+/// parse_udp's (for UDP) or parse_tcp's (for TCP) checks on the `l4_len`
+/// bytes at `l4`: whether the header holding the ports is accepted.
+bool ports_header_ok(std::uint8_t protocol, const std::uint8_t* l4,
+                     std::size_t l4_len) {
+  if (protocol == kIpProtoUdp) {
+    return l4_len >= kUdpHeaderSize &&
+           util::load_be16(l4 + 4) >= kUdpHeaderSize;
+  }
+  if (l4_len < kTcpMinHeaderSize) return false;
+  const std::size_t data_offset = static_cast<std::size_t>(l4[12] >> 4) * 4;
+  return data_offset >= kTcpMinHeaderSize && data_offset <= l4_len;
+}
+
+}  // namespace
+
 std::string FiveTuple::to_string() const {
   std::string out = src_ip.to_string() + ":" + std::to_string(src_port) +
                     " -> " + dst_ip.to_string() + ":" +
@@ -17,19 +62,17 @@ std::string FiveTuple::to_string() const {
 }
 
 std::size_t FiveTupleHash::operator()(const FiveTuple& t) const noexcept {
-  // FNV-1a over the tuple fields.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(t.src_ip.value);
-  mix(t.dst_ip.value);
-  mix((static_cast<std::uint64_t>(t.protocol) << 32) |
-      (static_cast<std::uint64_t>(t.src_port) << 16) | t.dst_port);
-  return static_cast<std::size_t>(h);
+  // The tuple as two words, each folded in by a multiply and an
+  // xor-shift that carries the high product bits down to the low ones a
+  // bucket index uses.
+  const std::uint64_t addrs =
+      (static_cast<std::uint64_t>(t.src_ip.value) << 32) | t.dst_ip.value;
+  const std::uint64_t rest = (static_cast<std::uint64_t>(t.protocol) << 32) |
+                             (static_cast<std::uint64_t>(t.src_port) << 16) |
+                             t.dst_port;
+  std::uint64_t h = addrs * 0x9E3779B97F4A7C15ULL;
+  h = ((h ^ (h >> 32)) ^ rest) * 0xC2B2AE3D27D4EB4FULL;
+  return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
 Result<FlowFields> extract_flow_fields(std::span<const std::uint8_t> frame) {
@@ -65,18 +108,13 @@ bool decode_flow_key(std::span<const std::uint8_t> frame, FlowKey& key) {
   // each field straight from the frame into the key.
   using util::load_be16;
   using util::load_be32;
+  std::uint16_t type = 0;
+  std::size_t l3_off = 0;
+  if (!locate_l3(frame, type, l3_off)) return false;
   const std::uint8_t* p = frame.data();
-  const std::size_t n = frame.size();
-  if (n < kEthernetHeaderSize) return false;
-  std::uint16_t type = load_be16(p + 12);
-  std::size_t l3_off = kEthernetHeaderSize;
-  key.vlan = kVlanUntagged;
-  if (type == kEtherTypeVlan) {
-    if (n < kEthernetHeaderSize + kVlanTagSize) return false;
-    key.vlan = static_cast<std::uint16_t>(load_be16(p + 14) & 0x0FFF);
-    type = load_be16(p + 16);
-    l3_off += kVlanTagSize;
-  }
+  key.vlan = l3_off == kEthernetHeaderSize
+                 ? kVlanUntagged
+                 : static_cast<std::uint16_t>(load_be16(p + 14) & 0x0FFF);
   std::memcpy(key.eth_dst.data(), p, 6);
   std::memcpy(key.eth_src.data(), p + 6, 6);
   key.eth_type = type;
@@ -88,27 +126,17 @@ bool decode_flow_key(std::span<const std::uint8_t> frame, FlowKey& key) {
 
   // Short or garbled L3 leaves the key L2-only.
   const std::uint8_t* l3 = p + l3_off;
-  const std::size_t l3_len = n - l3_off;
-  if (l3_len < kIpv4MinHeaderSize || (l3[0] >> 4) != 4) return true;
-  const std::size_t ihl = static_cast<std::size_t>(l3[0] & 0x0F) * 4;
-  if (ihl < kIpv4MinHeaderSize || ihl > l3_len || load_be16(l3 + 2) < ihl) {
-    return true;
-  }
+  const std::size_t l3_len = frame.size() - l3_off;
+  const std::size_t ihl = ipv4_header_size(l3, l3_len);
+  if (ihl == 0) return true;
   key.has_ipv4 = true;
   key.ip_proto = l3[9];
   key.ip_src = load_be32(l3 + 12);
   key.ip_dst = load_be32(l3 + 16);
 
   const std::uint8_t* l4 = l3 + ihl;
-  const std::size_t l4_len = l3_len - ihl;
-  bool ports = false;
-  if (key.ip_proto == kIpProtoUdp) {
-    ports = l4_len >= kUdpHeaderSize && load_be16(l4 + 4) >= kUdpHeaderSize;
-  } else if (key.ip_proto == kIpProtoTcp && l4_len >= kTcpMinHeaderSize) {
-    const std::size_t data_offset = static_cast<std::size_t>(l4[12] >> 4) * 4;
-    ports = data_offset >= kTcpMinHeaderSize && data_offset <= l4_len;
-  }
-  if (ports) {
+  if ((key.ip_proto == kIpProtoUdp || key.ip_proto == kIpProtoTcp) &&
+      ports_header_ok(key.ip_proto, l4, l3_len - ihl)) {
     key.has_l4_src = key.has_l4_dst = true;
     key.l4_src = load_be16(l4);
     key.l4_dst = load_be16(l4 + 2);
@@ -150,6 +178,54 @@ Result<FiveTuple> extract_five_tuple(std::span<const std::uint8_t> ip_packet) {
       break;  // ports stay zero (e.g. ESP)
   }
   return tuple;
+}
+
+Ipv4Decode decode_ipv4(std::span<const std::uint8_t> frame, Ipv4Tuple& out) {
+  // parse_ethernet's and parse_ipv4's checks, in their order.
+  std::uint16_t type = 0;
+  std::size_t l3_off = 0;
+  if (!locate_l3(frame, type, l3_off)) return Ipv4Decode::kRunt;
+  if (type != kEtherTypeIpv4) return Ipv4Decode::kNotIpv4;
+  const std::uint8_t* l3 = frame.data() + l3_off;
+  const std::size_t ihl = ipv4_header_size(l3, frame.size() - l3_off);
+  if (ihl == 0) return Ipv4Decode::kMalformed;
+  out.l3_off = static_cast<std::uint16_t>(l3_off);
+  out.header_size = static_cast<std::uint16_t>(ihl);
+  out.total_length = util::load_be16(l3 + 2);
+  out.tuple.src_ip.value = util::load_be32(l3 + 12);
+  out.tuple.dst_ip.value = util::load_be32(l3 + 16);
+  out.tuple.protocol = l3[9];
+  out.tuple.src_port = out.tuple.dst_port = 0;
+  return Ipv4Decode::kOk;
+}
+
+Ipv4Decode decode_ipv4_tuple(std::span<const std::uint8_t> frame,
+                             Ipv4Tuple& out) {
+  // Then parse_udp's, parse_tcp's and parse_icmp's checks, as
+  // extract_five_tuple applies them.
+  const Ipv4Decode l3 = decode_ipv4(frame, out);
+  if (l3 != Ipv4Decode::kOk) return l3;
+  const std::size_t l4_off =
+      static_cast<std::size_t>(out.l3_off) + out.header_size;
+  const std::uint8_t* l4 = frame.data() + l4_off;
+  const std::size_t l4_len = frame.size() - l4_off;
+  FiveTuple& t = out.tuple;
+  switch (t.protocol) {
+    case kIpProtoUdp:
+    case kIpProtoTcp:
+      if (!ports_header_ok(t.protocol, l4, l4_len)) {
+        return Ipv4Decode::kMalformed;
+      }
+      t.src_port = util::load_be16(l4);
+      t.dst_port = util::load_be16(l4 + 2);
+      return Ipv4Decode::kOk;
+    case kIpProtoIcmp:
+      if (l4_len < kIcmpHeaderSize) return Ipv4Decode::kMalformed;
+      t.src_port = util::load_be16(l4 + 4);
+      return Ipv4Decode::kOk;
+    default:
+      return Ipv4Decode::kOk;  // ports stay zero (e.g. ESP)
+  }
 }
 
 }  // namespace nnfv::packet

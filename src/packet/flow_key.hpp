@@ -91,4 +91,33 @@ bool decode_flow_key(std::span<const std::uint8_t> frame, FlowKey& key);
 util::Result<FiveTuple> extract_five_tuple(
     std::span<const std::uint8_t> ip_packet);
 
+/// Verdict of decode_ipv4 / decode_ipv4_tuple, in the order the checks
+/// run.
+enum class Ipv4Decode : std::uint8_t {
+  kRunt,       ///< parse_ethernet rejects it (short frame or 802.1Q tag)
+  kNotIpv4,    ///< the ethertype after any tag is not IPv4
+  kMalformed,  ///< parse_ipv4 (or, for the tuple, the L4 header) rejects it
+  kOk,
+};
+
+/// The IPv4 header of a frame, flat: where it sits and the 5-tuple an NF
+/// looks up. Valid only when the decode returned kOk.
+struct Ipv4Tuple {
+  std::uint16_t l3_off = 0;        ///< 14, or 18 behind an 802.1Q tag
+  std::uint16_t header_size = 0;   ///< IHL in bytes, 20..60
+  std::uint16_t total_length = 0;  ///< at least header_size
+  FiveTuple tuple;
+};
+
+/// Decodes a frame's Ethernet (+VLAN) and IPv4 headers in one pass, with
+/// parse_ethernet + parse_ipv4's checks; the ports in `out.tuple` are 0.
+Ipv4Decode decode_ipv4(std::span<const std::uint8_t> frame, Ipv4Tuple& out);
+
+/// decode_ipv4 plus extract_five_tuple's transport checks and ports (the
+/// ICMP identifier in src_port), so the verdict is kOk exactly when
+/// parse_ethernet, parse_ipv4 and extract_five_tuple all succeed. L4 is
+/// everything after the IPv4 header, as extract_five_tuple sees it.
+Ipv4Decode decode_ipv4_tuple(std::span<const std::uint8_t> frame,
+                             Ipv4Tuple& out);
+
 }  // namespace nnfv::packet

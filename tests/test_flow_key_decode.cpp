@@ -2,7 +2,9 @@
 // formed and damaged frames, packet::decode_flow_key must agree with the
 // extract_flow_fields + FlowKeyView::from_context pipeline it replaces on
 // the datapath, and the priority split and RSS hash built on it must give
-// the values the FlowFields-based rules gave.
+// the values the FlowFields-based rules gave. The same corpus checks the
+// NFs' flat decode, packet::decode_ipv4 / decode_ipv4_tuple, against the
+// parse_ethernet + parse_ipv4 + extract_five_tuple chain it replaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,6 +98,54 @@ void expect_agrees(const Bytes& frame, const std::string& what) {
                     : exec::FramePriority::kBulk);
   EXPECT_EQ(exec::rss_hash_frame(bytes),
             decoded ? oracle_rss(fields.value()) : 0u);
+}
+
+/// Checks decode_ipv4 and decode_ipv4_tuple on one frame against the
+/// parse chain the NFs used before, in an exactly-sized allocation.
+void expect_tuple_agrees(const Bytes& frame, const std::string& what) {
+  SCOPED_TRACE(what + " (" + std::to_string(frame.size()) + " B)");
+  const Bytes exact(frame.begin(), frame.end());
+  const std::span<const std::uint8_t> bytes(exact);
+  packet::Ipv4Tuple l3;
+  packet::Ipv4Tuple full;
+  const packet::Ipv4Decode l3_verdict = packet::decode_ipv4(bytes, l3);
+  const packet::Ipv4Decode verdict = packet::decode_ipv4_tuple(bytes, full);
+
+  auto eth = packet::parse_ethernet(bytes);
+  if (!eth) {
+    EXPECT_EQ(l3_verdict, packet::Ipv4Decode::kRunt);
+    EXPECT_EQ(verdict, packet::Ipv4Decode::kRunt);
+    return;
+  }
+  if (eth->ether_type != packet::kEtherTypeIpv4) {
+    EXPECT_EQ(l3_verdict, packet::Ipv4Decode::kNotIpv4);
+    EXPECT_EQ(verdict, packet::Ipv4Decode::kNotIpv4);
+    return;
+  }
+  const auto ip_packet = bytes.subspan(eth->wire_size());
+  auto ip = packet::parse_ipv4(ip_packet);
+  if (!ip) {
+    EXPECT_EQ(l3_verdict, packet::Ipv4Decode::kMalformed);
+    EXPECT_EQ(verdict, packet::Ipv4Decode::kMalformed);
+    return;
+  }
+  ASSERT_EQ(l3_verdict, packet::Ipv4Decode::kOk);
+  EXPECT_EQ(l3.l3_off, eth->wire_size());
+  EXPECT_EQ(l3.header_size, ip->header_size());
+  EXPECT_EQ(l3.total_length, ip->total_length);
+  const packet::FiveTuple addresses{ip->src, ip->dst, ip->protocol, 0, 0};
+  EXPECT_EQ(l3.tuple, addresses);
+
+  auto tuple = packet::extract_five_tuple(ip_packet);
+  if (!tuple) {
+    EXPECT_EQ(verdict, packet::Ipv4Decode::kMalformed);
+    return;
+  }
+  ASSERT_EQ(verdict, packet::Ipv4Decode::kOk);
+  EXPECT_EQ(full.l3_off, l3.l3_off);
+  EXPECT_EQ(full.header_size, l3.header_size);
+  EXPECT_EQ(full.total_length, l3.total_length);
+  EXPECT_EQ(full.tuple, tuple.value());
 }
 
 // ---------------------------------------------------------------------------
@@ -220,11 +270,110 @@ class FlowKeyDecode : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
+// Corpus variants, each run through a decoder check
+// ---------------------------------------------------------------------------
+
+using Check = void (*)(const Bytes&, const std::string&);
+
+void well_formed(Check check) {
+  for (const Sample& s : base_corpus()) check(s.frame, s.name);
+}
+
+void cut_at_every_length(Check check) {
+  for (const Sample& s : base_corpus()) {
+    for (std::size_t n = 0; n <= s.frame.size(); ++n) {
+      check(Bytes(s.frame.begin(), s.frame.begin() + n), s.name + " cut");
+    }
+  }
+}
+
+void every_ihl(Check check) {
+  for (const Sample& s : base_corpus()) {
+    if (s.name.rfind("arp", 0) == 0) continue;
+    for (std::uint8_t ihl = 0; ihl < 16; ++ihl) {
+      Bytes frame = s.frame;
+      frame[s.l3_off] = static_cast<std::uint8_t>(0x40 | ihl);
+      check(frame, s.name + " ihl " + std::to_string(ihl));
+    }
+  }
+}
+
+void total_length_below_header(Check check) {
+  for (const Sample& s : base_corpus()) {
+    if (s.name.rfind("arp", 0) == 0) continue;
+    for (std::uint16_t total : {0, 1, 19, 20, 21}) {
+      Bytes frame = s.frame;
+      util::store_be16(&frame[s.l3_off + 2], total);
+      check(frame, s.name + " total_length " + std::to_string(total));
+    }
+    // With options (IHL 6), 20..23 is now shorter than the header.
+    Bytes frame = s.frame;
+    frame[s.l3_off] = 0x46;
+    util::store_be16(&frame[s.l3_off + 2], 23);
+    check(frame, s.name + " ihl 6 total_length 23");
+  }
+}
+
+void ip_version_other_than_four(Check check) {
+  for (const Sample& s : base_corpus()) {
+    if (s.name.rfind("arp", 0) == 0) continue;
+    for (std::uint8_t version = 0; version < 16; ++version) {
+      Bytes frame = s.frame;
+      frame[s.l3_off] =
+          static_cast<std::uint8_t>((version << 4) | (frame[s.l3_off] & 0x0F));
+      check(frame, s.name + " version " + std::to_string(version));
+    }
+  }
+}
+
+void every_tcp_data_offset(Check check) {
+  for (const Sample& s : base_corpus()) {
+    if (s.name.rfind("tcp", 0) != 0) continue;
+    for (std::uint8_t offset = 0; offset < 16; ++offset) {
+      Bytes frame = s.frame;
+      std::uint8_t& byte = frame[s.l3_off + 20 + 12];
+      byte = static_cast<std::uint8_t>((offset << 4) | (byte & 0x0F));
+      check(frame, s.name + " data offset " + std::to_string(offset));
+    }
+  }
+}
+
+void udp_length_below_header(Check check) {
+  for (const Sample& s : base_corpus()) {
+    if (s.name.rfind("udp", 0) != 0 && s.name.rfind("dhcp", 0) != 0) continue;
+    for (std::uint16_t length = 0; length <= 9; ++length) {
+      Bytes frame = s.frame;
+      util::store_be16(&frame[s.l3_off + 20 + 4], length);
+      check(frame, s.name + " udp length " + std::to_string(length));
+    }
+  }
+}
+
+void random_damage(Check check) {
+  // Byte flips in the headers of every corpus frame, then a cut: covers
+  // combinations the targeted variants above do not enumerate.
+  util::Rng rng(0xF10E);
+  const std::vector<Sample> corpus = base_corpus();
+  for (int round = 0; round < 4000; ++round) {
+    const Sample& s = corpus[rng.uniform(0, corpus.size() - 1)];
+    Bytes frame = s.frame;
+    const int flips = static_cast<int>(rng.uniform(1, 3));
+    const std::size_t last = std::min(frame.size() - 1, s.l3_off + 40);
+    for (int f = 0; f < flips; ++f) {
+      frame[rng.uniform(0, last)] = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    frame.resize(rng.uniform(0, frame.size()));
+    check(frame, s.name + " damaged");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Cases
 // ---------------------------------------------------------------------------
 
 TEST_F(FlowKeyDecode, WellFormedFramesDecodeLikeTheFieldsPipeline) {
-  for (const Sample& s : base_corpus()) expect_agrees(s.frame, s.name);
+  well_formed(expect_agrees);
 }
 
 TEST_F(FlowKeyDecode, DecodedFieldsAreTheFramesHeaders) {
@@ -248,75 +397,24 @@ TEST_F(FlowKeyDecode, DecodedFieldsAreTheFramesHeaders) {
             0u);
 }
 
-TEST_F(FlowKeyDecode, CutAtEveryLength) {
-  for (const Sample& s : base_corpus()) {
-    for (std::size_t n = 0; n <= s.frame.size(); ++n) {
-      expect_agrees(Bytes(s.frame.begin(), s.frame.begin() + n),
-                    s.name + " cut");
-    }
-  }
-}
+TEST_F(FlowKeyDecode, CutAtEveryLength) { cut_at_every_length(expect_agrees); }
 
-TEST_F(FlowKeyDecode, EveryIhl) {
-  for (const Sample& s : base_corpus()) {
-    if (s.name.rfind("arp", 0) == 0) continue;
-    for (std::uint8_t ihl = 0; ihl < 16; ++ihl) {
-      Bytes frame = s.frame;
-      frame[s.l3_off] = static_cast<std::uint8_t>(0x40 | ihl);
-      expect_agrees(frame, s.name + " ihl " + std::to_string(ihl));
-    }
-  }
-}
+TEST_F(FlowKeyDecode, EveryIhl) { every_ihl(expect_agrees); }
 
 TEST_F(FlowKeyDecode, TotalLengthBelowHeader) {
-  for (const Sample& s : base_corpus()) {
-    if (s.name.rfind("arp", 0) == 0) continue;
-    for (std::uint16_t total : {0, 1, 19, 20, 21}) {
-      Bytes frame = s.frame;
-      util::store_be16(&frame[s.l3_off + 2], total);
-      expect_agrees(frame, s.name + " total_length " + std::to_string(total));
-    }
-    // With options (IHL 6), 20..23 is now shorter than the header.
-    Bytes frame = s.frame;
-    frame[s.l3_off] = 0x46;
-    util::store_be16(&frame[s.l3_off + 2], 23);
-    expect_agrees(frame, s.name + " ihl 6 total_length 23");
-  }
+  total_length_below_header(expect_agrees);
 }
 
 TEST_F(FlowKeyDecode, IpVersionOtherThanFour) {
-  for (const Sample& s : base_corpus()) {
-    if (s.name.rfind("arp", 0) == 0) continue;
-    for (std::uint8_t version = 0; version < 16; ++version) {
-      Bytes frame = s.frame;
-      frame[s.l3_off] =
-          static_cast<std::uint8_t>((version << 4) | (frame[s.l3_off] & 0x0F));
-      expect_agrees(frame, s.name + " version " + std::to_string(version));
-    }
-  }
+  ip_version_other_than_four(expect_agrees);
 }
 
 TEST_F(FlowKeyDecode, EveryTcpDataOffset) {
-  for (const Sample& s : base_corpus()) {
-    if (s.name.rfind("tcp", 0) != 0) continue;
-    for (std::uint8_t offset = 0; offset < 16; ++offset) {
-      Bytes frame = s.frame;
-      std::uint8_t& byte = frame[s.l3_off + 20 + 12];
-      byte = static_cast<std::uint8_t>((offset << 4) | (byte & 0x0F));
-      expect_agrees(frame, s.name + " data offset " + std::to_string(offset));
-    }
-  }
+  every_tcp_data_offset(expect_agrees);
 }
 
 TEST_F(FlowKeyDecode, UdpLengthBelowHeader) {
-  for (const Sample& s : base_corpus()) {
-    if (s.name.rfind("udp", 0) != 0 && s.name.rfind("dhcp", 0) != 0) continue;
-    for (std::uint16_t length = 0; length <= 9; ++length) {
-      Bytes frame = s.frame;
-      util::store_be16(&frame[s.l3_off + 20 + 4], length);
-      expect_agrees(frame, s.name + " udp length " + std::to_string(length));
-    }
-  }
+  udp_length_below_header(expect_agrees);
 }
 
 TEST_F(FlowKeyDecode, KeyPairedWithAShorterFrameStaysInBounds) {
@@ -337,24 +435,68 @@ TEST_F(FlowKeyDecode, KeyPairedWithAShorterFrameStaysInBounds) {
   }
 }
 
-TEST_F(FlowKeyDecode, RandomDamage) {
-  // Byte flips in the headers of every corpus frame, then a cut: covers
-  // combinations the targeted cases above do not enumerate.
-  util::Rng rng(0xF10E);
-  const std::vector<Sample> corpus = base_corpus();
-  for (int round = 0; round < 4000; ++round) {
-    const Sample& s = corpus[rng.uniform(0, corpus.size() - 1)];
-    Bytes frame = s.frame;
-    const int flips = static_cast<int>(rng.uniform(1, 3));
-    const std::size_t last = std::min(frame.size() - 1, s.l3_off + 40);
-    for (int f = 0; f < flips; ++f) {
-      frame[rng.uniform(0, last)] = static_cast<std::uint8_t>(rng.next_u64());
-    }
-    frame.resize(rng.uniform(0, frame.size()));
-    expect_agrees(frame, s.name + " damaged");
-    if (HasFatalFailure()) return;
-  }
+TEST_F(FlowKeyDecode, RandomDamage) { random_damage(expect_agrees); }
+
+// ---------------------------------------------------------------------------
+// TupleDecode: the NFs' flat decode over the same corpus
+// ---------------------------------------------------------------------------
+
+TEST(TupleDecode, WellFormedFramesDecodeLikeTheParseChain) {
+  well_formed(expect_tuple_agrees);
 }
+
+TEST(TupleDecode, DecodedFieldsAreTheFramesHeaders) {
+  packet::Ipv4Tuple d;
+  ASSERT_EQ(packet::decode_ipv4_tuple(tagged(udp_frame(5000, 6000), 0x123), d),
+            packet::Ipv4Decode::kOk);
+  EXPECT_EQ(d.l3_off, packet::kEthernetHeaderSize + packet::kVlanTagSize);
+  EXPECT_EQ(d.header_size, packet::kIpv4MinHeaderSize);
+  EXPECT_EQ(d.total_length, 20 + 8 + payload().size());
+  EXPECT_EQ(d.tuple.src_ip.to_string(), "10.1.2.3");
+  EXPECT_EQ(d.tuple.dst_ip.to_string(), "192.168.7.9");
+  EXPECT_EQ(d.tuple.protocol, packet::kIpProtoUdp);
+  EXPECT_EQ(d.tuple.src_port, 5000);
+  EXPECT_EQ(d.tuple.dst_port, 6000);
+
+  // ICMP: the echo identifier in src_port; and a reused output carries
+  // no port over from the previous frame.
+  ASSERT_EQ(packet::decode_ipv4_tuple(icmp_frame(), d),
+            packet::Ipv4Decode::kOk);
+  EXPECT_EQ(d.l3_off, packet::kEthernetHeaderSize);
+  EXPECT_EQ(d.tuple.src_port, 0x1234);
+  EXPECT_EQ(d.tuple.dst_port, 0);
+  ASSERT_EQ(packet::decode_ipv4_tuple(esp_frame(0x1000), d),
+            packet::Ipv4Decode::kOk);
+  EXPECT_EQ(d.tuple.protocol, packet::kIpProtoEsp);
+  EXPECT_EQ(d.tuple.src_port | d.tuple.dst_port, 0);
+
+  EXPECT_EQ(packet::decode_ipv4_tuple(arp_frame(), d),
+            packet::Ipv4Decode::kNotIpv4);
+  EXPECT_EQ(packet::decode_ipv4_tuple(Bytes(13, 0), d),
+            packet::Ipv4Decode::kRunt);
+}
+
+TEST(TupleDecode, CutAtEveryLength) { cut_at_every_length(expect_tuple_agrees); }
+
+TEST(TupleDecode, EveryIhl) { every_ihl(expect_tuple_agrees); }
+
+TEST(TupleDecode, TotalLengthBelowHeader) {
+  total_length_below_header(expect_tuple_agrees);
+}
+
+TEST(TupleDecode, IpVersionOtherThanFour) {
+  ip_version_other_than_four(expect_tuple_agrees);
+}
+
+TEST(TupleDecode, EveryTcpDataOffset) {
+  every_tcp_data_offset(expect_tuple_agrees);
+}
+
+TEST(TupleDecode, UdpLengthBelowHeader) {
+  udp_length_below_header(expect_tuple_agrees);
+}
+
+TEST(TupleDecode, RandomDamage) { random_damage(expect_tuple_agrees); }
 
 }  // namespace
 }  // namespace nnfv

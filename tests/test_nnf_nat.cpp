@@ -1,11 +1,18 @@
 // NAT NF tests: SNAT translation, conntrack, checksum validity, timeouts,
-// per-context isolation, unsolicited-inbound drops.
+// per-context isolation, unsolicited-inbound drops, the in-place rewrite
+// against a full recompute, and malformed-IPv4 drops.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
+#include <vector>
 
 #include "nnf/nat.hpp"
 #include "packet/builder.hpp"
 #include "packet/checksum.hpp"
 #include "packet/flow_key.hpp"
+#include "util/byteorder.hpp"
+#include "util/rng.hpp"
 
 namespace nnfv::nnf {
 namespace {
@@ -329,6 +336,361 @@ TEST(Nat, NonIpPassesThrough) {
       nat.process(kDefaultContext, 0, 0, packet::PacketBuffer::copy_of(arp));
   ASSERT_EQ(outs.size(), 1u);
   EXPECT_EQ(outs[0].port, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The in-place rewrite against a full recompute. The oracle writes the
+// translated address and port (or ICMP identifier) into a copy of the
+// input and recomputes every checksum from scratch; the NAT's RFC 1624
+// IPv4 header update and its L4 sum must produce the same bytes.
+// ---------------------------------------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes bytes_of(const packet::PacketBuffer& frame) {
+  return Bytes(frame.data().begin(), frame.data().end());
+}
+
+Bytes full_recompute(Bytes frame, bool outbound, packet::Ipv4Address addr,
+                     std::uint16_t port) {
+  auto eth = packet::parse_ethernet(frame);
+  const std::size_t l3_off = eth->wire_size();
+  auto ip = packet::parse_ipv4(std::span(frame).subspan(l3_off));
+  EXPECT_TRUE(ip.is_ok());
+  std::uint8_t* l3 = frame.data() + l3_off;
+  const std::size_t l4_off = l3_off + ip->header_size();
+  std::uint8_t* l4 = frame.data() + l4_off;
+  util::store_be32(l3 + (outbound ? 12 : 16), addr.value);
+  util::store_be16(l3 + 10, 0);
+  util::store_be16(l3 + 10, packet::internet_checksum(
+                                {l3, ip->header_size()}));
+  const packet::Ipv4Address src{util::load_be32(l3 + 12)};
+  const packet::Ipv4Address dst{util::load_be32(l3 + 16)};
+  const std::span<const std::uint8_t> segment(
+      l4, ip->total_length - ip->header_size());
+  switch (ip->protocol) {
+    case packet::kIpProtoUdp:
+      util::store_be16(l4 + (outbound ? 0 : 2), port);
+      util::store_be16(l4 + 6, packet::l4_checksum(src, dst,
+                                                   packet::kIpProtoUdp,
+                                                   segment, 6));
+      break;
+    case packet::kIpProtoTcp:
+      util::store_be16(l4 + (outbound ? 0 : 2), port);
+      util::store_be16(l4 + 16, packet::l4_checksum(src, dst,
+                                                    packet::kIpProtoTcp,
+                                                    segment, 16));
+      break;
+    case packet::kIpProtoIcmp:
+      util::store_be16(l4 + 4, port);
+      util::store_be16(l4 + 2, 0);
+      util::store_be16(l4 + 2, packet::internet_checksum(segment));
+      break;
+    default:
+      ADD_FAILURE() << "untranslatable protocol";
+  }
+  return frame;
+}
+
+/// One inside host talking to one server over `proto`; `payload` fills
+/// the segment after the transport header.
+struct FlowSpec {
+  std::uint8_t proto = packet::kIpProtoUdp;
+  packet::Ipv4Address inside;
+  std::uint16_t inside_port = 0;  ///< ICMP: the echo identifier
+  packet::Ipv4Address server;
+  std::uint16_t server_port = 0;
+};
+
+Bytes build_frame(const FlowSpec& flow, bool outbound,
+                  packet::Ipv4Address external, std::uint16_t external_port,
+                  std::span<const std::uint8_t> payload) {
+  const packet::Ipv4Address src = outbound ? flow.inside : flow.server;
+  const packet::Ipv4Address dst = outbound ? flow.server : external;
+  const std::uint16_t sport = outbound ? flow.inside_port : flow.server_port;
+  const std::uint16_t dport = outbound ? flow.server_port : external_port;
+  const auto lan = packet::MacAddress::from_id(1);
+  const auto wan = packet::MacAddress::from_id(2);
+  if (flow.proto == packet::kIpProtoUdp) {
+    packet::UdpFrameSpec spec;
+    spec.eth_src = outbound ? lan : wan;
+    spec.eth_dst = outbound ? wan : lan;
+    spec.ip_src = src;
+    spec.ip_dst = dst;
+    spec.src_port = sport;
+    spec.dst_port = dport;
+    spec.payload = payload;
+    return bytes_of(packet::build_udp_frame(spec));
+  }
+  if (flow.proto == packet::kIpProtoTcp) {
+    packet::TcpFrameSpec spec;
+    spec.eth_src = outbound ? lan : wan;
+    spec.eth_dst = outbound ? wan : lan;
+    spec.ip_src = src;
+    spec.ip_dst = dst;
+    spec.src_port = sport;
+    spec.dst_port = dport;
+    spec.payload = payload;
+    return bytes_of(packet::build_tcp_frame(spec));
+  }
+  packet::IcmpEchoSpec spec;
+  spec.eth_src = outbound ? lan : wan;
+  spec.eth_dst = outbound ? wan : lan;
+  spec.ip_src = src;
+  spec.ip_dst = dst;
+  spec.is_reply = !outbound;
+  spec.identifier = outbound ? flow.inside_port : external_port;
+  spec.payload = payload;
+  return bytes_of(packet::build_icmp_echo(spec));
+}
+
+/// Sends `in` through the NAT on `port` and expects exactly the oracle's
+/// bytes out.
+void expect_translation(Nat& nat, NfPortIndex port, const Bytes& in,
+                        const Bytes& want, const std::string& what) {
+  auto outs = nat.process(kDefaultContext, port, 0,
+                          packet::PacketBuffer::copy_of(in));
+  ASSERT_EQ(outs.size(), 1u) << what;
+  EXPECT_EQ(bytes_of(outs[0].frame), want) << what;
+}
+
+/// Establishes `flow`'s session and returns its external port.
+std::uint16_t open_session(Nat& nat, const FlowSpec& flow) {
+  const auto external = *packet::Ipv4Address::parse(kExternalIp);
+  const Bytes probe = build_frame(flow, true, external, 0, {});
+  auto outs = nat.process(kDefaultContext, 0, 0,
+                          packet::PacketBuffer::copy_of(probe));
+  EXPECT_EQ(outs.size(), 1u);
+  return outs.empty() ? 0 : tuple_of(outs[0].frame).src_port;
+}
+
+TEST(Nat, RewriteMatchesFullRecomputeOnRandomFrames) {
+  Nat nat = make_nat();
+  const auto external = *packet::Ipv4Address::parse(kExternalIp);
+  util::Rng rng(0x4A7);
+  for (int round = 0; round < 1500; ++round) {
+    FlowSpec flow;
+    flow.proto = std::array<std::uint8_t, 3>{
+        packet::kIpProtoUdp, packet::kIpProtoTcp,
+        packet::kIpProtoIcmp}[static_cast<std::size_t>(round % 3)];
+    flow.inside.value = 0xC0A80000u | static_cast<std::uint32_t>(
+                                          rng.uniform(0, 0xFFFF));
+    flow.inside_port = static_cast<std::uint16_t>(rng.next_u64());
+    flow.server.value = static_cast<std::uint32_t>(rng.next_u64());
+    flow.server_port = static_cast<std::uint16_t>(rng.next_u64());
+    const Bytes payload = rng.bytes(rng.uniform(0, 80));
+    const bool zero_udp_sum = flow.proto == packet::kIpProtoUdp &&
+                              rng.uniform(0, 3) == 0;
+    const std::string what = "round " + std::to_string(round);
+
+    Bytes out = build_frame(flow, true, external, 0, payload);
+    if (zero_udp_sum) util::store_be16(&out[14 + 20 + 6], 0);
+    auto sent = nat.process(kDefaultContext, 0, 0,
+                            packet::PacketBuffer::copy_of(out));
+    ASSERT_EQ(sent.size(), 1u) << what;
+    const std::uint16_t ext_port = tuple_of(sent[0].frame).src_port;
+    EXPECT_EQ(bytes_of(sent[0].frame),
+              full_recompute(out, true, external, ext_port))
+        << what << " outbound";
+
+    Bytes in = build_frame(flow, false, external, ext_port, payload);
+    if (zero_udp_sum) util::store_be16(&in[14 + 20 + 6], 0);
+    expect_translation(nat, 1, in,
+                       full_recompute(in, false, flow.inside,
+                                      flow.inside_port),
+                       what + " inbound");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Nat, RewriteMatchesFullRecomputeAtZeroSums) {
+  // Payloads steered so that the output checksum, or the input one, is
+  // the one's-complement zero: 0x0000 for TCP and ICMP, 0xFFFF (a
+  // computed 0) for UDP.
+  Nat nat = make_nat();
+  const auto external = *packet::Ipv4Address::parse(kExternalIp);
+  int flow_index = 0;
+  for (std::uint8_t proto :
+       {packet::kIpProtoUdp, packet::kIpProtoTcp, packet::kIpProtoIcmp}) {
+    for (bool outbound : {true, false}) {
+      for (bool steer_output : {true, false}) {
+        FlowSpec flow;
+        flow.proto = proto;
+        flow.inside.value = 0xC0A80100u + static_cast<std::uint32_t>(
+                                              ++flow_index);
+        flow.inside_port = static_cast<std::uint16_t>(40000 + flow_index);
+        flow.server = *packet::Ipv4Address::parse("198.51.100.7");
+        flow.server_port = 443;
+        const std::uint16_t ext_port = open_session(nat, flow);
+        const packet::Ipv4Address addr = outbound ? external : flow.inside;
+        const std::uint16_t port = outbound ? ext_port : flow.inside_port;
+        const std::size_t sum_off =
+            14 + 20 + (proto == packet::kIpProtoUdp   ? 6
+                       : proto == packet::kIpProtoTcp ? 16
+                                                      : 2);
+        // With a zero payload word W the checksum is C; with W = C the
+        // sum becomes -0.
+        Bytes payload(10, 0x5A);
+        payload[4] = payload[5] = 0;
+        const Bytes base =
+            build_frame(flow, outbound, external, ext_port, payload);
+        const Bytes probe =
+            steer_output ? full_recompute(base, outbound, addr, port) : base;
+        payload[4] = probe[sum_off];
+        payload[5] = probe[sum_off + 1];
+        const Bytes in =
+            build_frame(flow, outbound, external, ext_port, payload);
+        const Bytes want = full_recompute(in, outbound, addr, port);
+        const Bytes& landed = steer_output ? want : in;
+        const std::uint16_t zero =
+            proto == packet::kIpProtoUdp ? 0xFFFF : 0x0000;
+        const std::string what = "proto " + std::to_string(proto) +
+                                 (outbound ? " out" : " in") +
+                                 (steer_output ? " output" : " input");
+        ASSERT_EQ(util::load_be16(&landed[sum_off]), zero) << what;
+        expect_translation(nat, outbound ? 0 : 1, in, want, what);
+      }
+    }
+  }
+}
+
+TEST(Nat, IcmpReplyRewrittenToAllZeroMessageGetsFullSum) {
+  // An echo reply translated back to identifier 0, with sequence 0 and a
+  // zero payload, is an all-zero message: a full sum gives 0xFFFF, which
+  // an RFC 1624 update of the old checksum would give as 0x0000.
+  Nat nat = make_nat();
+  const auto external = *packet::Ipv4Address::parse(kExternalIp);
+  FlowSpec flow;
+  flow.proto = packet::kIpProtoIcmp;
+  flow.inside = *packet::Ipv4Address::parse("192.168.1.30");
+  flow.inside_port = 0;
+  flow.server = *packet::Ipv4Address::parse("198.51.100.7");
+  const std::uint16_t ext_id = open_session(nat, flow);
+  const Bytes zeros(16, 0);
+  const Bytes in = build_frame(flow, false, external, ext_id, zeros);
+  const Bytes want = full_recompute(in, false, flow.inside, 0);
+  ASSERT_EQ(util::load_be16(&want[14 + 20 + 2]), 0xFFFF);
+  expect_translation(nat, 1, in, want, "all-zero reply");
+}
+
+TEST(Nat, UdpZeroChecksumGetsFullChecksum) {
+  Nat nat = make_nat();
+  packet::PacketBuffer frame = udp_from("192.168.1.10", 5555, "8.8.8.8", 53);
+  frame.unshare();
+  util::store_be16(frame.data().data() + 14 + 20 + 6, 0);
+  const Bytes in = bytes_of(frame);
+  auto outs = nat.process(kDefaultContext, 0, 0, std::move(frame));
+  ASSERT_EQ(outs.size(), 1u);
+  const auto external = *packet::Ipv4Address::parse(kExternalIp);
+  const Bytes want = full_recompute(in, true, external,
+                                    tuple_of(outs[0].frame).src_port);
+  EXPECT_NE(util::load_be16(&want[14 + 20 + 6]), 0);
+  EXPECT_EQ(bytes_of(outs[0].frame), want);
+}
+
+// ---------------------------------------------------------------------------
+// Header fields the NAT does not translate survive it
+// ---------------------------------------------------------------------------
+
+/// Translates `in` outbound and checks that only the source address, the
+/// source port and the two checksums changed, to their recomputed values.
+void expect_only_translated_bytes_change(const Bytes& in) {
+  Nat nat = make_nat();
+  auto outs = nat.process(kDefaultContext, 0, 0,
+                          packet::PacketBuffer::copy_of(in));
+  ASSERT_EQ(outs.size(), 1u);
+  const Bytes out = bytes_of(outs[0].frame);
+  ASSERT_EQ(out.size(), in.size());
+  const std::size_t l3 = 14;
+  const std::size_t l4 = l3 + static_cast<std::size_t>(in[l3] & 0x0F) * 4;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const bool translated = (i >= l3 + 10 && i < l3 + 16) ||  // sum, src
+                            i == l4 || i == l4 + 1 ||         // sport
+                            i == l4 + 6 || i == l4 + 7;       // UDP sum
+    if (!translated) {
+      EXPECT_EQ(out[i], in[i]) << "byte " << i;
+    }
+  }
+  const auto external = *packet::Ipv4Address::parse(kExternalIp);
+  EXPECT_EQ(out, full_recompute(in, true, external,
+                                util::load_be16(&out[l4])));
+}
+
+Bytes udp_bytes() {
+  return bytes_of(udp_from("192.168.1.10", 5555, "8.8.8.8", 53));
+}
+
+void fix_ip_checksum(Bytes& frame) {
+  const std::size_t ihl = static_cast<std::size_t>(frame[14] & 0x0F) * 4;
+  util::store_be16(&frame[14 + 10], 0);
+  util::store_be16(&frame[14 + 10],
+                   packet::internet_checksum({&frame[14], ihl}));
+}
+
+TEST(Nat, KeepsEcnBits) {
+  Bytes frame = udp_bytes();
+  frame[14 + 1] |= 0x03;  // ECN = CE
+  fix_ip_checksum(frame);
+  expect_only_translated_bytes_change(frame);
+}
+
+TEST(Nat, KeepsMoreFragmentsAndFragmentOffset) {
+  Bytes frame = udp_bytes();
+  util::store_be16(&frame[14 + 6], 0x2000 | 0x0123);  // MF, offset 0x123
+  fix_ip_checksum(frame);
+  expect_only_translated_bytes_change(frame);
+}
+
+TEST(Nat, KeepsIpOptions) {
+  Bytes frame = udp_bytes();
+  const std::uint8_t option[4] = {0x94, 0x04, 0x00, 0x00};  // router alert
+  frame.insert(frame.begin() + 14 + 20, option, option + 4);
+  frame[14] = 0x46;
+  util::store_be16(&frame[14 + 2],
+                   static_cast<std::uint16_t>(
+                       util::load_be16(&frame[14 + 2]) + 4));
+  fix_ip_checksum(frame);
+  expect_only_translated_bytes_change(frame);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed IPv4 never leaves untranslated
+// ---------------------------------------------------------------------------
+
+TEST(Nat, MalformedIpv4IsDroppedNotForwarded) {
+  struct Damage {
+    const char* name;
+    void (*apply)(Bytes&);
+  };
+  const Damage damages[] = {
+      {"total_length 10", [](Bytes& f) { util::store_be16(&f[14 + 2], 10); }},
+      {"ihl 4", [](Bytes& f) { f[14] = 0x44; }},
+      {"version 6", [](Bytes& f) { f[14] = 0x65; }},
+      {"truncated IPv4 header", [](Bytes& f) { f.resize(14 + 12); }},
+      {"truncated UDP header", [](Bytes& f) { f.resize(14 + 20 + 4); }},
+  };
+  for (const Damage& damage : damages) {
+    for (NfPortIndex port : {0u, 1u}) {
+      Nat nat = make_nat();
+      Bytes frame = udp_bytes();
+      damage.apply(frame);
+      auto outs = nat.process(kDefaultContext, port, 0,
+                              packet::PacketBuffer::copy_of(frame));
+      EXPECT_TRUE(outs.empty()) << damage.name << " on port " << port;
+      EXPECT_EQ(nat.counters().dropped, 1u) << damage.name;
+      EXPECT_EQ(nat.session_count(kDefaultContext), 0u) << damage.name;
+    }
+  }
+}
+
+TEST(Nat, RuntPassesThrough) {
+  Nat nat = make_nat();
+  const Bytes runt(10, 0x08);
+  auto outs = nat.process(kDefaultContext, 0, 0,
+                          packet::PacketBuffer::copy_of(runt));
+  ASSERT_EQ(outs.size(), 1u);
+  EXPECT_EQ(outs[0].port, 1u);
+  EXPECT_EQ(bytes_of(outs[0].frame), runt);
 }
 
 TEST(Nat, RejectsBadConfig) {

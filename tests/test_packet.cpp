@@ -2,6 +2,8 @@
 // flow-key extraction and the frame builders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "packet/buffer.hpp"
 #include "packet/builder.hpp"
 #include "packet/checksum.hpp"
@@ -255,6 +257,186 @@ TEST(Checksum, UdpFrameVerifies) {
       l4_checksum(ip->src, ip->dst, kIpProtoUdp,
                   frame.data().subspan(l4_off, l4_len), 6);
   EXPECT_EQ(udp->checksum, expected);
+}
+
+// Differential tests of the word-wise checksum kernel: the byte-wise sum it
+// replaced is kept here as the oracle, and every public result must be
+// bit-identical to it.
+
+std::uint32_t bytewise_sum(std::span<const std::uint8_t> data,
+                           std::size_t skip_offset, std::size_t skip_len) {
+  std::uint32_t sum = 0;
+  const std::size_t n = data.size();
+  for (std::size_t i = 0; i + 1 < n + 1; i += 2) {
+    std::uint16_t word;
+    const bool skip_hi = i >= skip_offset && i < skip_offset + skip_len;
+    const std::uint8_t hi = skip_hi ? 0 : data[i];
+    if (i + 1 < n) {
+      const bool skip_lo =
+          (i + 1) >= skip_offset && (i + 1) < skip_offset + skip_len;
+      const std::uint8_t lo = skip_lo ? 0 : data[i + 1];
+      word = static_cast<std::uint16_t>((hi << 8) | lo);
+    } else {
+      word = static_cast<std::uint16_t>(hi << 8);
+    }
+    sum += word;
+  }
+  return sum;
+}
+
+std::uint16_t bytewise_fold(std::uint32_t sum) {
+  while ((sum >> 16) != 0) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xFFFF);
+}
+
+std::uint16_t bytewise_internet_checksum(std::span<const std::uint8_t> data) {
+  return bytewise_fold(bytewise_sum(data, data.size(), 0));
+}
+
+std::uint16_t bytewise_l4_checksum(Ipv4Address src, Ipv4Address dst,
+                                   std::uint8_t protocol,
+                                   std::span<const std::uint8_t> segment,
+                                   std::size_t checksum_offset) {
+  std::uint32_t sum = (src.value >> 16) + (src.value & 0xFFFF) +
+                      (dst.value >> 16) + (dst.value & 0xFFFF) + protocol +
+                      static_cast<std::uint32_t>(segment.size());
+  sum += bytewise_sum(segment, checksum_offset, 2);
+  std::uint16_t result = bytewise_fold(sum);
+  if (result == 0 && protocol == kIpProtoUdp) result = 0xFFFF;
+  return result;
+}
+
+/// `n` bytes from `rng`, drawn so that runs of 0x00 and 0xFF (the bytes
+/// that make one's-complement carries and zero sums) are common.
+std::vector<std::uint8_t> checksum_data(util::Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> data(n);
+  const std::uint64_t style = rng.uniform(0, 3);
+  for (std::uint8_t& byte : data) {
+    const std::uint64_t pick = rng.uniform(0, 3);
+    if (style == 0 || pick == 0) {
+      byte = static_cast<std::uint8_t>(rng.next_u64());
+    } else {
+      byte = style == 1 || pick == 1 ? 0x00 : 0xFF;
+    }
+  }
+  return data;
+}
+
+TEST(Checksum, WordKernelMatchesBytewiseAtEveryLength) {
+  util::Rng rng(0xC5C5);
+  for (std::size_t n = 0; n <= 1500; ++n) {
+    const std::vector<std::uint8_t> data = checksum_data(rng, n);
+    ASSERT_EQ(internet_checksum(data), bytewise_internet_checksum(data))
+        << n << " B";
+    // Unaligned starts, so the native loads straddle word boundaries.
+    const std::size_t shift = n % 8;
+    const std::span<const std::uint8_t> tail(data.data() + shift, n - shift);
+    ASSERT_EQ(internet_checksum(tail), bytewise_internet_checksum(tail))
+        << n << " B from +" << shift;
+  }
+}
+
+TEST(Checksum, WordKernelMatchesBytewiseAtEverySkipOffset) {
+  util::Rng rng(0x5C1F);
+  const Ipv4Address src{0x0A000001};
+  const Ipv4Address dst{0xC0A80102};
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 72; ++n) lengths.push_back(n);
+  for (std::size_t n : {255u, 1407u, 1408u, 1499u, 1500u}) {
+    lengths.push_back(n);
+  }
+  for (std::size_t n : lengths) {
+    const std::vector<std::uint8_t> data = checksum_data(rng, n);
+    for (std::size_t skip = 0; skip <= n + 2; ++skip) {
+      for (std::uint8_t proto : {kIpProtoUdp, kIpProtoTcp}) {
+        ASSERT_EQ(l4_checksum(src, dst, proto, data, skip),
+                  bytewise_l4_checksum(src, dst, proto, data, skip))
+            << n << " B, skip " << skip << ", proto " << int{proto};
+      }
+    }
+  }
+}
+
+TEST(Checksum, WordKernelMatchesBytewiseOnZeroSums) {
+  // All-zero data sums to +0, and data summing to a multiple of 0xFFFF
+  // to -0; the kernel must keep the two apart exactly as the oracle does.
+  for (std::size_t n : {0u, 1u, 2u, 7u, 8u, 9u, 64u, 1407u, 1408u}) {
+    const std::vector<std::uint8_t> zeros(n, 0x00);
+    const std::vector<std::uint8_t> ones(n, 0xFF);
+    EXPECT_EQ(internet_checksum(zeros), bytewise_internet_checksum(zeros));
+    EXPECT_EQ(internet_checksum(ones), bytewise_internet_checksum(ones));
+    for (std::size_t skip = 0; skip <= n; ++skip) {
+      // Only the skipped field non-zero: the counted bytes sum to +0.
+      std::vector<std::uint8_t> field_only(n, 0x00);
+      for (std::size_t k = skip; k < std::min(n, skip + 2); ++k) {
+        field_only[k] = 0xAB;
+      }
+      EXPECT_EQ(l4_checksum({}, {}, 0, field_only, skip),
+                bytewise_l4_checksum({}, {}, 0, field_only, skip))
+          << n << " B, skip " << skip;
+    }
+  }
+  const std::vector<std::uint8_t> minus_zero = {0x12, 0x34, 0xED, 0xCB};
+  EXPECT_EQ(internet_checksum(minus_zero),
+            bytewise_internet_checksum(minus_zero));
+  EXPECT_EQ(internet_checksum(minus_zero), 0x0000);
+}
+
+TEST(Checksum, WordKernelMatchesBytewiseOnRandomData) {
+  util::Rng rng(0xDA7A);
+  for (int round = 0; round < 20000; ++round) {
+    const std::size_t n = rng.uniform(0, 200);
+    const std::vector<std::uint8_t> data = checksum_data(rng, n);
+    const std::size_t skip = rng.uniform(0, n + 1);
+    const Ipv4Address src{static_cast<std::uint32_t>(rng.next_u64())};
+    const Ipv4Address dst{static_cast<std::uint32_t>(rng.next_u64())};
+    const auto proto = static_cast<std::uint8_t>(rng.uniform(0, 255));
+    ASSERT_EQ(internet_checksum(data), bytewise_internet_checksum(data));
+    ASSERT_EQ(l4_checksum(src, dst, proto, data, skip),
+              bytewise_l4_checksum(src, dst, proto, data, skip))
+        << n << " B, skip " << skip << ", proto " << int{proto};
+  }
+}
+
+TEST(Checksum, IncrementalUpdateMatchesFullRecompute) {
+  // A stored checksum updated for a changed 32-bit field equals a full
+  // recompute over the changed data, whenever that data is not all zero
+  // (the only case where a full sum gives 0xFFFF).
+  util::Rng rng(0x1624);
+  int landed_zero = 0;
+  for (int round = 0; round < 50000; ++round) {
+    const std::size_t words = rng.uniform(3, 24);
+    std::vector<std::uint8_t> data = checksum_data(rng, 2 * words);
+    const std::size_t at = 2 * rng.uniform(0, words - 2);
+    const std::uint32_t old_value =
+        (std::uint32_t{data[at]} << 24) | (data[at + 1] << 16) |
+        (data[at + 2] << 8) | data[at + 3];
+    const std::uint16_t before = internet_checksum(data);
+    auto new_value = static_cast<std::uint32_t>(rng.next_u64());
+    if (round % 4 == 0) {
+      // Steer the result onto 0x0000: pick the new field so the changed
+      // data sums to -0.
+      std::vector<std::uint8_t> probe = data;
+      std::fill_n(probe.begin() + static_cast<std::ptrdiff_t>(at), 4, 0);
+      new_value = internet_checksum(probe);
+    }
+    for (std::size_t b = 0; b < 4; ++b) {
+      data[at + b] = static_cast<std::uint8_t>(new_value >> (8 * (3 - b)));
+    }
+    const bool all_zero =
+        std::all_of(data.begin(), data.end(), [](auto v) { return v == 0; });
+    if (all_zero) continue;
+    const std::uint16_t full = internet_checksum(data);
+    ASSERT_EQ(checksum_update32(before, old_value, new_value), full)
+        << "round " << round;
+    landed_zero += full == 0;
+  }
+  EXPECT_GT(landed_zero, 1000);
+
+  // -0 in, field of all ones replaced by zeros: the one's-complement sum
+  // stays -0, so the checksum is 0x0000. A plain ~HC + ~m + m' adds up to
+  // 0 here, which would fold to +0 and give 0xFFFF.
+  EXPECT_EQ(checksum_update32(0xFFFF, 0xFFFFFFFF, 0), 0x0000);
 }
 
 // ---------------------------------------------------------------------------
