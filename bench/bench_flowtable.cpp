@@ -105,7 +105,7 @@ std::pair<double, std::uint64_t> measure_lsi_hop(
     nfswitch::FlowMatch match = nfswitch::match_in_port(in);
     match.tp_dst = static_cast<std::uint16_t>(2000 + p);
     lsi.flow_table().add(10, match, {nfswitch::FlowAction::output(out)});
-    (void)lsi.set_port_burst_peer(
+    (void)lsi.set_port_peer(
         out, [&returned, p](packet::PacketBurst&& burst) {
           returned[p] = std::move(burst);
         });

@@ -105,7 +105,7 @@ struct EncapPipeline {
     const nfswitch::PortId out = lsi.add_port("eth1").value();
     nfswitch::FlowMatch any;
     lsi.flow_table().add(1, any, {nfswitch::FlowAction::output(out)});
-    (void)lsi.set_port_burst_peer(out, [this](packet::PacketBurst&& burst) {
+    (void)lsi.set_port_peer(out, [this](packet::PacketBurst&& burst) {
       auto outs = tunnel.process_burst(nnf::kDefaultContext, 0, 0,
                                        std::move(burst));
       bench::do_not_optimize(outs.size());

@@ -126,7 +126,7 @@ RunResult run_point(const packet::PacketBurst& pool, std::size_t workers,
   nfswitch::FlowMatch any;
   lsi.flow_table().add(1, any, {nfswitch::FlowAction::output(out)});
   std::atomic<std::uint64_t> encrypted{0};
-  (void)lsi.set_port_burst_peer(out, [&](packet::PacketBurst&& burst) {
+  (void)lsi.set_port_peer(out, [&](packet::PacketBurst&& burst) {
     auto outs = tunnel.process_burst(nnf::kDefaultContext, 0, 0,
                                      std::move(burst));
     bench::do_not_optimize(outs.size());

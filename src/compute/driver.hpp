@@ -59,6 +59,14 @@ struct DeployedNf {
   bool reused_shared_instance = false;
 };
 
+/// Dedicated attachment of context `ctx` to `lsi`, as for any VNF: a burst
+/// leaving `ports[i]` enters the context at logical port i as one service-
+/// station item, and the context's outputs on logical port i re-enter the
+/// pipeline of `lsi` on `ports[i]`.
+void attach_ports(const std::shared_ptr<NfInstance>& instance,
+                  nnf::ContextId ctx, nfswitch::Lsi& lsi,
+                  const std::vector<nfswitch::PortId>& ports);
+
 class ComputeDriver {
  public:
   virtual ~ComputeDriver() = default;

@@ -7,9 +7,27 @@ namespace nnfv::compute {
 using util::Result;
 using util::Status;
 
-GenericVnfDriver::GenericVnfDriver(virt::BackendKind kind, std::string name,
-                                   DriverEnv env)
-    : kind_(kind), name_(std::move(name)), env_(env) {}
+namespace {
+
+/// Figure 1's name for the driver of each generic backend.
+std::string_view driver_name(virt::BackendKind kind) {
+  switch (kind) {
+    case virt::BackendKind::kVm:
+      return "libvirt";
+    case virt::BackendKind::kDocker:
+      return "docker";
+    case virt::BackendKind::kDpdk:
+      return "dpdk";
+    case virt::BackendKind::kNative:
+      break;
+  }
+  return "generic";
+}
+
+}  // namespace
+
+GenericVnfDriver::GenericVnfDriver(virt::BackendKind kind, DriverEnv env)
+    : kind_(kind), name_(driver_name(kind)), env_(env) {}
 
 bool GenericVnfDriver::can_deploy(const std::string& functional_type) const {
   return env_.templates != nullptr && env_.templates->has(functional_type) &&
@@ -51,7 +69,7 @@ Result<DeployedNf> GenericVnfDriver::deploy(const NfDeploySpec& spec,
 
   const InstanceId iid = next_instance_++;
   const std::string instance_name =
-      spec.graph_id + "/" + spec.nf_id + "@" + name_;
+      spec.graph_id + "/" + spec.nf_id + "@" + std::string(name_);
   auto instance = std::make_shared<NfInstance>(
       iid, instance_name, std::move(function.value()),
       virt::CostModel(kind_, tmpl->compute), *env_.simulator);
@@ -98,37 +116,8 @@ Result<DeployedNf> GenericVnfDriver::deploy(const NfDeploySpec& spec,
     }
     record.lsi_ports.push_back(port.value());
     deployed.ports.push_back(PortAttachment{port.value(), std::nullopt});
-    // Switch -> NF (burst variant keeps classified bursts together).
-    (void)lsi.set_port_peer(
-        port.value(),
-        [instance, p](packet::PacketBuffer&& frame) {
-          instance->inject(nnf::kDefaultContext, p, std::move(frame));
-        });
-    (void)lsi.set_port_burst_peer(
-        port.value(),
-        [instance, p](packet::PacketBurst&& burst) {
-          instance->inject_burst(nnf::kDefaultContext, p, std::move(burst));
-        });
   }
-  // NF -> switch: outputs re-enter the LSI pipeline on the matching port.
-  std::vector<nfswitch::PortId> port_map = record.lsi_ports;
-  nfswitch::Lsi* lsi_ptr = &lsi;
-  instance->set_egress(
-      nnf::kDefaultContext,
-      [lsi_ptr, port_map](nnf::NfPortIndex out_port,
-                          packet::PacketBuffer&& frame) {
-        if (out_port < port_map.size()) {
-          lsi_ptr->receive(port_map[out_port], std::move(frame));
-        }
-      });
-  instance->set_burst_egress(
-      nnf::kDefaultContext,
-      [lsi_ptr, port_map](nnf::NfPortIndex out_port,
-                          packet::PacketBurst&& burst) {
-        if (out_port < port_map.size()) {
-          lsi_ptr->receive_burst(port_map[out_port], std::move(burst));
-        }
-      });
+  attach_ports(instance, nnf::kDefaultContext, lsi, record.lsi_ports);
 
   NNFV_RETURN_IF_ERROR(instance->start());
   instances_[iid] = std::move(record);

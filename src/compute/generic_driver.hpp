@@ -1,9 +1,8 @@
-// GenericVnfDriver: shared implementation of the VM, Docker and DPDK
-// drivers. The three technologies differ only in their BackendCost
-// constants, RAM overhead and image flavor — exactly the knobs the virt
-// models expose — so one implementation parameterized by BackendKind
-// covers them. Each concrete driver (vm_driver/docker_driver/dpdk_driver)
-// pins the kind and the Figure 1 driver name.
+// GenericVnfDriver: the VM, Docker and DPDK drivers of Figure 1. The three
+// technologies differ only in their BackendCost constants, RAM overhead and
+// image flavor — exactly the knobs the virt models expose — so one driver
+// parameterized by BackendKind covers them; the kind also picks the Figure 1
+// driver name ("libvirt", "docker", "dpdk").
 #pragma once
 
 #include <map>
@@ -29,7 +28,7 @@ struct DriverEnv {
 
 class GenericVnfDriver : public ComputeDriver {
  public:
-  GenericVnfDriver(virt::BackendKind kind, std::string name, DriverEnv env);
+  GenericVnfDriver(virt::BackendKind kind, DriverEnv env);
 
   [[nodiscard]] virt::BackendKind kind() const override { return kind_; }
   [[nodiscard]] std::string_view name() const override { return name_; }
@@ -68,7 +67,7 @@ class GenericVnfDriver : public ComputeDriver {
   };
 
   virt::BackendKind kind_;
-  std::string name_;
+  std::string_view name_;
   DriverEnv env_;
   InstanceId next_instance_ = 1;
   std::map<InstanceId, Record> instances_;

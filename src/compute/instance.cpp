@@ -35,26 +35,33 @@ void NfInstance::set_egress(nnf::ContextId ctx, Egress egress) {
   egress_[ctx] = std::move(egress);
 }
 
-void NfInstance::set_burst_egress(nnf::ContextId ctx, BurstEgress egress) {
-  burst_egress_[ctx] = std::move(egress);
-}
-
-void NfInstance::clear_egress(nnf::ContextId ctx) {
-  egress_.erase(ctx);
-  burst_egress_.erase(ctx);
-}
-
-void NfInstance::inject(nnf::ContextId ctx, nnf::NfPortIndex port,
-                        packet::PacketBuffer&& frame) {
-  // Burst-of-1 over the one packet-ingress contract: the function's only
-  // datapath entry point is process_burst().
-  packet::PacketBurst single;
-  single.push_back(std::move(frame));
-  inject_burst(ctx, port, std::move(single));
-}
+void NfInstance::clear_egress(nnf::ContextId ctx) { egress_.erase(ctx); }
 
 void NfInstance::inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
                               packet::PacketBurst&& burst) {
+  submit(std::move(burst), 0,
+         [this, ctx, port](sim::SimTime now, packet::PacketBurst&& held) {
+           auto outputs =
+               function_->process_burst(ctx, port, now, std::move(held));
+           auto egress = egress_.find(ctx);
+           if (egress == egress_.end()) return;  // outputs discarded
+           packet::BurstGroups<nnf::NfPortIndex> groups(outputs.size());
+           for (nnf::NfOutput& output : outputs) {
+             groups.add(output.port, std::move(output.frame));
+           }
+           for (auto& [out_port, group] : groups) {
+             egress->second(out_port, std::move(group));
+           }
+         });
+}
+
+void NfInstance::inject_custom_burst(packet::PacketBurst&& burst,
+                                     Handler handler) {
+  submit(std::move(burst), packet::kVlanTagSize, std::move(handler));
+}
+
+void NfInstance::submit(packet::PacketBurst&& burst, std::size_t extra_bytes,
+                        Handler done) {
   if (state_ != InstanceState::kRunning) {
     dropped_not_running_ += burst.size();
     return;
@@ -62,57 +69,11 @@ void NfInstance::inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
   if (burst.empty()) return;
   sim::SimTime service = 0;
   for (const packet::PacketBuffer& frame : burst) {
-    service += cost_.service_time(frame.size());
+    service += cost_.service_time(frame.size() + extra_bytes);
   }
   auto held = std::make_shared<packet::PacketBurst>(std::move(burst));
-  station_.submit(service, [this, ctx, port, held]() {
-    auto outputs = function_->process_burst(ctx, port, simulator_.now(),
-                                            std::move(*held));
-    dispatch_outputs(ctx, std::move(outputs), /*prefer_burst=*/true);
-  });
-}
-
-void NfInstance::dispatch_outputs(nnf::ContextId ctx,
-                                  std::vector<nnf::NfOutput>&& outputs,
-                                  bool prefer_burst) {
-  // Either wiring alone is enough for both inject paths: the burst path
-  // prefers the burst egress (regrouped per output port, same-port order
-  // preserved) and the single path prefers per-frame egress (no batch
-  // allocation per packet) — each falls back to the other.
-  auto egress = egress_.find(ctx);
-  auto burst_egress = burst_egress_.find(ctx);
-  const bool use_burst =
-      burst_egress != burst_egress_.end() &&
-      (prefer_burst || egress == egress_.end());
-  if (use_burst) {
-    packet::BurstGroups<nnf::NfPortIndex> groups(outputs.size());
-    for (nnf::NfOutput& output : outputs) {
-      groups.add(output.port, std::move(output.frame));
-    }
-    for (auto& [gp, g] : groups) burst_egress->second(gp, std::move(g));
-    return;
-  }
-  if (egress == egress_.end()) return;
-  for (nnf::NfOutput& output : outputs) {
-    egress->second(output.port, std::move(output.frame));
-  }
-}
-
-void NfInstance::inject_custom_burst(
-    packet::PacketBurst&& burst,
-    std::function<void(sim::SimTime, packet::PacketBurst&&)> handler) {
-  if (state_ != InstanceState::kRunning) {
-    dropped_not_running_ += burst.size();
-    return;
-  }
-  if (burst.empty()) return;
-  sim::SimTime service = 0;
-  for (const packet::PacketBuffer& frame : burst) {
-    service += cost_.service_time(frame.size() + packet::kVlanTagSize);
-  }
-  auto held = std::make_shared<packet::PacketBurst>(std::move(burst));
-  station_.submit(service, [this, handler = std::move(handler), held]() {
-    handler(simulator_.now(), std::move(*held));
+  station_.submit(service, [this, done = std::move(done), held]() {
+    done(simulator_.now(), std::move(*held));
   });
 }
 

@@ -24,12 +24,12 @@ std::string_view instance_state_name(InstanceState state);
 
 class NfInstance {
  public:
-  /// Where processed frames go, per context: (out_port, frame).
+  /// Where processed frames go, per context: every frame of one output
+  /// burst that leaves by logical port `out_port`, in one call.
   using Egress =
-      std::function<void(nnf::NfPortIndex, packet::PacketBuffer&&)>;
-  /// Burst egress: all frames leaving one logical port in one call.
-  using BurstEgress =
       std::function<void(nnf::NfPortIndex, packet::PacketBurst&&)>;
+  /// Receives a custom burst back when its service time has elapsed.
+  using Handler = std::function<void(sim::SimTime, packet::PacketBurst&&)>;
 
   NfInstance(InstanceId id, std::string name,
              std::unique_ptr<nnf::NetworkFunction> function,
@@ -47,21 +47,14 @@ class NfInstance {
   }
 
   void set_egress(nnf::ContextId ctx, Egress egress);
-  /// Optional: when set, burst outputs leave grouped per port.
-  void set_burst_egress(nnf::ContextId ctx, BurstEgress egress);
   void clear_egress(nnf::ContextId ctx);
 
-  /// Datapath entry: frame arrives at logical `port` of context `ctx`.
-  /// Queues for the backend-dependent service time, then runs the function
-  /// and dispatches its outputs through the context's egress. Running
-  /// instances only; otherwise the frame is dropped.
-  void inject(nnf::ContextId ctx, nnf::NfPortIndex port,
-              packet::PacketBuffer&& frame);
-
-  /// Burst datapath entry: the whole burst is one service-station item
-  /// whose service time is the sum of the per-frame times — the function
-  /// runs once per burst (one event, one virtual dispatch) instead of once
-  /// per frame.
+  /// Datapath entry: `burst` arrives at logical `port` of context `ctx`.
+  /// The whole burst is one service-station item whose service time is
+  /// the sum of the per-frame times; then the function runs once on it
+  /// and its outputs leave through the context's egress, one call per
+  /// output port in first-seen order, same-port order kept. Running
+  /// instances only; otherwise the burst is dropped.
   void inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
                     packet::PacketBurst&& burst);
 
@@ -70,9 +63,7 @@ class NfInstance {
   /// completion time after the delay. Each frame is charged as
   /// frame.size() + kVlanTagSize: its mark rides beside the burst, but the
   /// model keeps the 802.1Q tag it stands for on the wire.
-  void inject_custom_burst(
-      packet::PacketBurst&& burst,
-      std::function<void(sim::SimTime, packet::PacketBurst&&)> handler);
+  void inject_custom_burst(packet::PacketBurst&& burst, Handler handler);
 
   util::Status start();
   util::Status stop();
@@ -87,12 +78,12 @@ class NfInstance {
   }
 
  private:
-  /// Routes processed frames out — shared by inject() and inject_burst().
-  /// prefer_burst selects the burst egress when both wirings exist; each
-  /// path falls back to the other when only one is wired.
-  void dispatch_outputs(nnf::ContextId ctx,
-                        std::vector<nnf::NfOutput>&& outputs,
-                        bool prefer_burst);
+  /// The one submit core of both entries: drops the burst unless the
+  /// instance runs, else queues it as one station item charged
+  /// sum(service_time(size + extra_bytes)) and hands it to `done` on
+  /// completion.
+  void submit(packet::PacketBurst&& burst, std::size_t extra_bytes,
+              Handler done);
 
   InstanceId id_;
   std::string name_;
@@ -101,7 +92,6 @@ class NfInstance {
   sim::Simulator& simulator_;
   sim::ServiceStation station_;
   std::map<nnf::ContextId, Egress> egress_;
-  std::map<nnf::ContextId, BurstEgress> burst_egress_;
   InstanceState state_ = InstanceState::kCreated;
   std::uint64_t dropped_not_running_ = 0;
 };

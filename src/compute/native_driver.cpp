@@ -240,11 +240,10 @@ Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
       // Switch -> NNF: the port's mark rides beside the burst. One
       // service-station event per burst, charged as if every frame carried
       // the 802.1Q tag, then the adaptation layer dispatches the burst.
-      // Single frames reach this peer as bursts of 1 (Lsi::transmit).
       auto instance = shared->instance;
       nnf::AdaptationLayer* layer = shared->adaptation.get();
       const nnf::Mark mark_value = mark.value();
-      (void)lsi.set_port_burst_peer(
+      (void)lsi.set_port_peer(
           port.value(),
           [instance, layer, mark_value](packet::PacketBurst&& burst) {
             instance->inject_custom_burst(
@@ -254,40 +253,10 @@ Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
                   layer->receive(now, mark_value, std::move(delayed));
                 });
           });
-    } else {
-      // Dedicated attachment per port, like any VNF. The burst peer keeps
-      // a classified burst together: one service-station event for the
-      // whole vector.
-      auto instance = shared->instance;
-      const nnf::ContextId ctx = dep.ctx;
-      (void)lsi.set_port_peer(
-          port.value(), [instance, ctx, p](packet::PacketBuffer&& frame) {
-            instance->inject(ctx, p, std::move(frame));
-          });
-      (void)lsi.set_port_burst_peer(
-          port.value(), [instance, ctx, p](packet::PacketBurst&& burst) {
-            instance->inject_burst(ctx, p, std::move(burst));
-          });
     }
   }
-
   if (!desc.single_interface) {
-    std::vector<nfswitch::PortId> port_map = dep.lsi_ports;
-    nfswitch::Lsi* lsi_ptr = &lsi;
-    shared->instance->set_egress(
-        dep.ctx, [lsi_ptr, port_map](nnf::NfPortIndex out_port,
-                                     packet::PacketBuffer&& frame) {
-          if (out_port < port_map.size()) {
-            lsi_ptr->receive(port_map[out_port], std::move(frame));
-          }
-        });
-    shared->instance->set_burst_egress(
-        dep.ctx, [lsi_ptr, port_map](nnf::NfPortIndex out_port,
-                                     packet::PacketBurst&& burst) {
-          if (out_port < port_map.size()) {
-            lsi_ptr->receive_burst(port_map[out_port], std::move(burst));
-          }
-        });
+    attach_ports(shared->instance, dep.ctx, lsi, dep.lsi_ports);
   }
 
   shared->active_contexts += 1;

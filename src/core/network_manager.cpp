@@ -28,18 +28,10 @@ Result<nfswitch::PortId> NetworkManager::physical_port(
 }
 
 Status NetworkManager::set_physical_egress(const std::string& name,
-                                           nfswitch::Lsi::PortPeer peer) {
+                                           nfswitch::Lsi::Peer peer) {
   auto port = physical_port(name);
   if (!port) return port.status();
   return base_->set_port_peer(port.value(), std::move(peer));
-}
-
-Status NetworkManager::inject(const std::string& name,
-                              packet::PacketBuffer&& frame) {
-  auto port = physical_port(name);
-  if (!port) return port.status();
-  base_->receive(port.value(), std::move(frame));
-  return Status::ok();
 }
 
 Status NetworkManager::inject_burst(const std::string& name,
@@ -98,25 +90,14 @@ Result<VirtualLink> NetworkManager::create_virtual_link(
     (void)base_->remove_port(base_port.value());
     return graph_port.status();
   }
-  // Cross-wire the two ends, with burst fast paths so a classified burst
-  // crosses the link as one vector instead of one call per frame.
+  // Cross-wire the two ends.
   nfswitch::Lsi* base_raw = base_.get();
   (void)base_->set_port_peer(
-      base_port.value(),
-      [graph, gp = graph_port.value()](packet::PacketBuffer&& frame) {
-        graph->receive(gp, std::move(frame));
-      });
-  (void)base_->set_port_burst_peer(
       base_port.value(),
       [graph, gp = graph_port.value()](packet::PacketBurst&& burst) {
         graph->receive_burst(gp, std::move(burst));
       });
   (void)graph->set_port_peer(
-      graph_port.value(),
-      [base_raw, bp = base_port.value()](packet::PacketBuffer&& frame) {
-        base_raw->receive(bp, std::move(frame));
-      });
-  (void)graph->set_port_burst_peer(
       graph_port.value(),
       [base_raw, bp = base_port.value()](packet::PacketBurst&& burst) {
         base_raw->receive_burst(bp, std::move(burst));

@@ -36,12 +36,9 @@ class NetworkManager {
 
   /// Wires where frames leaving a physical port go (test sink, wire model).
   util::Status set_physical_egress(const std::string& name,
-                                   nfswitch::Lsi::PortPeer peer);
+                                   nfswitch::Lsi::Peer peer);
 
-  /// External ingress: a frame arrives on a physical port.
-  util::Status inject(const std::string& name, packet::PacketBuffer&& frame);
-
-  /// External burst ingress: the whole vector enters LSI-0 as one batch.
+  /// External ingress: the whole vector enters LSI-0 as one batch.
   util::Status inject_burst(const std::string& name,
                             packet::PacketBurst&& burst);
 

@@ -1,9 +1,7 @@
 #include "core/node.hpp"
 
-#include "compute/docker_driver.hpp"
-#include "compute/dpdk_driver.hpp"
+#include "compute/generic_driver.hpp"
 #include "compute/native_driver.hpp"
-#include "compute/vm_driver.hpp"
 #include "nnf/translator.hpp"
 #include "packet/mbuf.hpp"
 
@@ -40,23 +38,12 @@ UniversalNode::UniversalNode(UniversalNodeConfig config)
   native_env.ram = &resources_.ram();
 
   for (virt::BackendKind kind : config.backends) {
-    switch (kind) {
-      case virt::BackendKind::kNative:
-        (void)compute_.register_driver(
-            std::make_unique<compute::NativeDriver>(native_env));
-        break;
-      case virt::BackendKind::kDocker:
-        (void)compute_.register_driver(
-            std::make_unique<compute::DockerDriver>(generic_env));
-        break;
-      case virt::BackendKind::kDpdk:
-        (void)compute_.register_driver(
-            std::make_unique<compute::DpdkDriver>(generic_env));
-        break;
-      case virt::BackendKind::kVm:
-        (void)compute_.register_driver(
-            std::make_unique<compute::VmDriver>(generic_env));
-        break;
+    if (kind == virt::BackendKind::kNative) {
+      (void)compute_.register_driver(
+          std::make_unique<compute::NativeDriver>(native_env));
+    } else {
+      (void)compute_.register_driver(
+          std::make_unique<compute::GenericVnfDriver>(kind, generic_env));
     }
   }
   resources_.set_backends(compute_.backends());
@@ -89,12 +76,7 @@ UniversalNode::UniversalNode(UniversalNodeConfig config)
 
 util::Status UniversalNode::inject(const std::string& port,
                                    packet::PacketBuffer&& frame) {
-  if (executor_ != nullptr) {
-    packet::PacketBurst burst;
-    burst.push_back(std::move(frame));
-    return inject_burst(port, std::move(burst));
-  }
-  return network_.inject(port, std::move(frame));
+  return inject_burst(port, packet::burst_of(std::move(frame)));
 }
 
 util::Status UniversalNode::inject_burst(const std::string& port,
@@ -114,8 +96,11 @@ void UniversalNode::drain_datapath() {
 }
 
 util::Status UniversalNode::set_egress(const std::string& port,
-                                       nfswitch::Lsi::PortPeer peer) {
-  return network_.set_physical_egress(port, std::move(peer));
+                                       FrameSink sink) {
+  return network_.set_physical_egress(
+      port, [sink = std::move(sink)](packet::PacketBurst&& burst) {
+        for (packet::PacketBuffer& frame : burst) sink(std::move(frame));
+      });
 }
 
 json::Value UniversalNode::describe() const {

@@ -8,6 +8,7 @@
 //   node.inject("eth0", std::move(frame));
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,12 +84,16 @@ class UniversalNode {
   ResourceManager& resources() { return resources_; }
   VnfRepository& repository() { return repository_; }
 
-  /// External-world helpers (traffic sources/sinks attach here).
+  /// Per-frame sink for a physical port's egress.
+  using FrameSink = std::function<void(packet::PacketBuffer&&)>;
+
+  /// External-world helpers (traffic sources/sinks attach here). inject()
+  /// is a burst of 1 over inject_burst(); set_egress() hands `sink` each
+  /// frame of every burst leaving `port`.
   util::Status inject(const std::string& port, packet::PacketBuffer&& frame);
   util::Status inject_burst(const std::string& port,
                             packet::PacketBurst&& burst);
-  util::Status set_egress(const std::string& port,
-                          nfswitch::Lsi::PortPeer peer);
+  util::Status set_egress(const std::string& port, FrameSink sink);
 
   /// Node description JSON (REST: GET /node).
   [[nodiscard]] json::Value describe() const;

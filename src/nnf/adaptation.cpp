@@ -90,9 +90,7 @@ void AdaptationLayer::receive_burst(sim::SimTime now,
 
 void AdaptationLayer::receive(sim::SimTime now,
                               packet::PacketBuffer&& frame) {
-  packet::PacketBurst single;
-  single.push_back(std::move(frame));
-  receive_burst(now, std::move(single));
+  receive_burst(now, packet::burst_of(std::move(frame)));
 }
 
 }  // namespace nnfv::nnf

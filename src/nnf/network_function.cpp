@@ -43,9 +43,7 @@ std::vector<NfOutput> NetworkFunction::process(ContextId ctx,
                                                NfPortIndex in_port,
                                                sim::SimTime now,
                                                packet::PacketBuffer&& frame) {
-  packet::PacketBurst single;
-  single.push_back(std::move(frame));
-  return process_burst(ctx, in_port, now, std::move(single));
+  return process_burst(ctx, in_port, now, packet::burst_of(std::move(frame)));
 }
 
 }  // namespace nnfv::nnf

@@ -176,6 +176,13 @@ class PacketBuffer {
   std::uint32_t length_ = 0;
 };
 
+/// A burst of one frame: how the per-frame adapters enter the burst path.
+inline PacketBurst burst_of(PacketBuffer&& frame) {
+  PacketBurst burst;
+  burst.push_back(std::move(frame));
+  return burst;
+}
+
 /// Order-preserving per-port regrouping for the burst paths (LSI egress,
 /// NF burst egress): frames bound for the same port stay in arrival
 /// order; group discovery order is first-seen. Port counts per burst are

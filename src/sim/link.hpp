@@ -1,14 +1,12 @@
-// Link and ServiceStation: the two queueing primitives of the datapath.
-//
-// Link models a serialising transmitter (rate + propagation delay) with a
-// bounded FIFO. ServiceStation models a single-server queue whose service
-// time is supplied per item — NF instances use it with the per-backend cost
-// model, which is how the VM / Docker / native throughput differences arise.
+// ServiceStation: the queueing primitive of the datapath. It models a
+// single-server FIFO whose service time is supplied per item — NF instances
+// use it with the per-backend cost model, which is how the VM / Docker /
+// native throughput differences arise.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -22,46 +20,15 @@ struct QueueStats {
   SimTime busy_time = 0;       ///< total time the server spent serving
 };
 
-/// Point-to-point link: serialization at `bits_per_second`, then
-/// `propagation_delay` before delivery. Back-to-back sends queue behind the
-/// transmitter; beyond `queue_capacity` packets are tail-dropped.
-class Link {
- public:
-  using Deliver = std::function<void()>;
-
-  Link(Simulator& simulator, double bits_per_second,
-       SimTime propagation_delay, std::size_t queue_capacity = 1024);
-
-  /// Offers a packet of `bytes` to the link. On delivery, `deliver` runs at
-  /// the receiver. Returns false when the queue is full (packet dropped).
-  bool transmit(std::uint64_t bytes, Deliver deliver);
-
-  [[nodiscard]] const QueueStats& stats() const { return stats_; }
-  [[nodiscard]] double rate_bps() const { return rate_bps_; }
-
- private:
-  void start_next();
-
-  struct Pending {
-    std::uint64_t bytes;
-    Deliver deliver;
-  };
-
-  Simulator& simulator_;
-  double rate_bps_;
-  SimTime propagation_delay_;
-  std::size_t capacity_;
-  std::deque<Pending> queue_;
-  bool transmitting_ = false;
-  QueueStats stats_;
-};
-
 /// Single-server FIFO with caller-supplied service time per item.
 class ServiceStation {
  public:
   using Complete = std::function<void()>;
 
   ServiceStation(Simulator& simulator, std::size_t queue_capacity = 1024);
+  ~ServiceStation() { *alive_ = false; }
+  ServiceStation(const ServiceStation&) = delete;
+  ServiceStation& operator=(const ServiceStation&) = delete;
 
   /// Offers an item taking `service_time` ns of server time; `complete`
   /// runs when service finishes. Returns false on tail drop.
@@ -94,6 +61,11 @@ class ServiceStation {
   std::size_t head_ = 0;
   bool busy_ = false;
   QueueStats stats_;
+  /// Cleared by the destructor. The closures the station leaves in the
+  /// simulator (the item in service, a cross-thread submit bounce) check
+  /// it and, once the station is gone, drop their item unrun: its frames
+  /// go back to the pool instead of into freed memory.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace nnfv::sim

@@ -16,7 +16,7 @@ util::Result<PortId> Lsi::add_port(const std::string& name) {
     }
   }
   const PortId pid = next_port_++;
-  ports_[pid] = Port{name, nullptr, nullptr, {}};
+  ports_[pid] = Port{name, nullptr, {}};
   return pid;
 }
 
@@ -28,23 +28,13 @@ util::Status Lsi::remove_port(PortId port) {
   return util::Status::ok();
 }
 
-util::Status Lsi::set_port_peer(PortId port, PortPeer peer) {
+util::Status Lsi::set_port_peer(PortId port, Peer peer) {
   auto it = ports_.find(port);
   if (it == ports_.end()) {
     return util::not_found("port " + std::to_string(port) + " on LSI " +
                            name_);
   }
   it->second.peer = std::move(peer);
-  return util::Status::ok();
-}
-
-util::Status Lsi::set_port_burst_peer(PortId port, BurstPeer peer) {
-  auto it = ports_.find(port);
-  if (it == ports_.end()) {
-    return util::not_found("port " + std::to_string(port) + " on LSI " +
-                           name_);
-  }
-  it->second.burst_peer = std::move(peer);
   return util::Status::ok();
 }
 
@@ -70,11 +60,7 @@ const PortStats* Lsi::port_stats(PortId port) const {
 }
 
 void Lsi::receive(PortId port, packet::PacketBuffer&& frame) {
-  // Burst-of-1 over the one packet-ingress contract: classification,
-  // replication and egress grouping live in receive_burst only.
-  packet::PacketBurst single;
-  single.push_back(std::move(frame));
-  receive_burst(port, std::move(single));
+  receive_burst(port, packet::burst_of(std::move(frame)));
 }
 
 void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
@@ -187,23 +173,7 @@ void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
 }
 
 void Lsi::transmit(PortId port, packet::PacketBuffer&& frame) {
-  auto it = ports_.find(port);
-  if (it == ports_.end()) return;
-  it->second.stats.tx_packets += 1;
-  it->second.stats.tx_bytes += frame.size();
-  if (it->second.peer) {
-    it->second.peer(std::move(frame));
-    return;
-  }
-  // Symmetric fallback: a port wired only for bursts still delivers
-  // single frames (controller packet-out, non-burst pipeline).
-  if (it->second.burst_peer) {
-    packet::PacketBurst single;
-    single.push_back(std::move(frame));
-    it->second.burst_peer(std::move(single));
-    return;
-  }
-  it->second.stats.tx_no_peer += 1;
+  transmit_burst(port, packet::burst_of(std::move(frame)));
 }
 
 void Lsi::transmit_burst(PortId port, packet::PacketBurst&& burst) {
@@ -215,15 +185,11 @@ void Lsi::transmit_burst(PortId port, packet::PacketBurst&& burst) {
   for (const packet::PacketBuffer& frame : burst) bytes += frame.size();
   p.stats.tx_packets += burst.size();
   p.stats.tx_bytes += bytes;
-  if (p.burst_peer) {
-    p.burst_peer(std::move(burst));
-    return;
-  }
-  if (!p.peer) {
+  if (p.peer) {
+    p.peer(std::move(burst));
+  } else {
     p.stats.tx_no_peer += burst.size();
-    return;
   }
-  for (packet::PacketBuffer& frame : burst) p.peer(std::move(frame));
 }
 
 }  // namespace nnfv::nfswitch

@@ -2,8 +2,9 @@
 // Universal Node architecture, plus the base LSI-0 that classifies node
 // ingress traffic.
 //
-// An LSI owns named ports; each port's peer is a callback (an NF instance,
-// a virtual link to another LSI, or a physical-port model). Forwarding is
+// An LSI owns named ports; each port's peer is one burst callback (an NF
+// instance, a virtual link to another LSI, or a physical-port model).
+// Forwarding is
 // a flow-table lookup followed by action application. Table misses go to
 // the LSI's controller, mirroring the per-LSI OpenFlow controller of the
 // paper's Figure 1.
@@ -54,10 +55,9 @@ struct PortStats {
 
 class Lsi {
  public:
-  /// Receiver for frames leaving the switch through a port.
-  using PortPeer = std::function<void(packet::PacketBuffer&&)>;
-  /// Burst-capable receiver; preferred by transmit_burst when set.
-  using BurstPeer = std::function<void(packet::PacketBurst&&)>;
+  /// Receiver for the frames leaving the switch through a port, one
+  /// burst per call.
+  using Peer = std::function<void(packet::PacketBurst&&)>;
 
   Lsi(LsiId id, std::string name);
 
@@ -69,11 +69,7 @@ class Lsi {
   util::Status remove_port(PortId port);
 
   /// Sets where frames transmitted out of `port` go.
-  util::Status set_port_peer(PortId port, PortPeer peer);
-
-  /// Burst fast path for `port`: transmit_burst hands the whole vector to
-  /// `peer` in one call instead of one PortPeer call per frame.
-  util::Status set_port_burst_peer(PortId port, BurstPeer peer);
+  util::Status set_port_peer(PortId port, Peer peer);
 
   [[nodiscard]] bool has_port(PortId port) const;
   [[nodiscard]] util::Result<PortId> port_by_name(
@@ -81,7 +77,7 @@ class Lsi {
   [[nodiscard]] std::vector<PortId> ports() const;
   [[nodiscard]] const PortStats* port_stats(PortId port) const;
 
-  /// Ingress: a frame arrives on `port`; runs the pipeline synchronously.
+  /// Ingress of one frame: a burst of 1 over receive_burst.
   void receive(PortId port, packet::PacketBuffer&& frame);
 
   /// Burst ingress: decodes each frame's key once, classifies it and
@@ -92,10 +88,11 @@ class Lsi {
   /// punt; cross-port interleaving is not preserved (docs/datapath.md).
   void receive_burst(PortId port, packet::PacketBurst&& burst);
 
-  /// Egress helper used by controllers and the steering layer (packet-out).
+  /// Egress of one frame (controller packet-out): a burst of 1 over
+  /// transmit_burst.
   void transmit(PortId port, packet::PacketBuffer&& frame);
 
-  /// Egress of a whole burst through one port.
+  /// Egress of a whole burst through one port, in one peer call.
   void transmit_burst(PortId port, packet::PacketBurst&& burst);
 
   FlowTable& flow_table() { return table_; }
@@ -108,8 +105,7 @@ class Lsi {
  private:
   struct Port {
     std::string name;
-    PortPeer peer;
-    BurstPeer burst_peer;
+    Peer peer;
     PortStats stats;
   };
 

@@ -305,8 +305,10 @@ TEST_F(SharedNnfNode, ReplicaBesideSharedNatStaysIntact) {
   const auto nat_in = lsi->port_by_name("nat:0").value();
   std::vector<packet::PacketBuffer> tapped;
   ASSERT_TRUE(lsi->set_port_peer(tap_out,
-                                 [&tapped](packet::PacketBuffer&& frame) {
-                                   tapped.push_back(std::move(frame));
+                                 [&tapped](packet::PacketBurst&& burst) {
+                                   for (auto& frame : burst) {
+                                     tapped.push_back(std::move(frame));
+                                   }
                                  })
                   .is_ok());
   lsi->flow_table().add(1000, nfswitch::match_in_port(tap_in),

@@ -345,26 +345,23 @@ struct CounterBench {
     r_back = lsi.flow_table().add(10, nfswitch::match_in_port(fw),
                                   {FlowAction::output(out)});
     // Nothing matches udp/4000 from `in`: a table miss.
-    EXPECT_TRUE(lsi.set_port_burst_peer(fw, [this](packet::PacketBurst&& b) {
-                     auto outputs = firewall.process_burst(
-                         nnf::kDefaultContext, 0, 0, std::move(b));
-                     packet::PacketBurst back;
-                     for (nnf::NfOutput& o : outputs) {
-                       back.push_back(std::move(o.frame));
-                     }
-                     lsi.receive_burst(fw, std::move(back));
-                   }).is_ok());
-    EXPECT_TRUE(lsi.set_port_burst_peer(out, [this](packet::PacketBurst&& b) {
-                     std::lock_guard<std::mutex> lock(sink_mutex);
-                     out_frames += b.size();
-                   }).is_ok());
-    EXPECT_TRUE(lsi.set_port_burst_peer(mirror,
-                                        [this](packet::PacketBurst&& b) {
-                                          std::lock_guard<std::mutex> lock(
-                                              sink_mutex);
-                                          mirror_frames += b.size();
-                                        })
-                    .is_ok());
+    EXPECT_TRUE(lsi.set_port_peer(fw, [this](packet::PacketBurst&& b) {
+                  auto outputs = firewall.process_burst(
+                      nnf::kDefaultContext, 0, 0, std::move(b));
+                  packet::PacketBurst back;
+                  for (nnf::NfOutput& o : outputs) {
+                    back.push_back(std::move(o.frame));
+                  }
+                  lsi.receive_burst(fw, std::move(back));
+                }).is_ok());
+    EXPECT_TRUE(lsi.set_port_peer(out, [this](packet::PacketBurst&& b) {
+                  std::lock_guard<std::mutex> lock(sink_mutex);
+                  out_frames += b.size();
+                }).is_ok());
+    EXPECT_TRUE(lsi.set_port_peer(mirror, [this](packet::PacketBurst&& b) {
+                  std::lock_guard<std::mutex> lock(sink_mutex);
+                  mirror_frames += b.size();
+                }).is_ok());
   }
 };
 

@@ -2,15 +2,15 @@
 // DPDK drivers, the template registry and the compute manager dispatch.
 #include <gtest/gtest.h>
 
-#include "compute/docker_driver.hpp"
-#include "compute/dpdk_driver.hpp"
+#include "compute/generic_driver.hpp"
 #include "compute/instance.hpp"
 #include "compute/manager.hpp"
 #include "compute/templates.hpp"
-#include "compute/vm_driver.hpp"
 #include "core/repository.hpp"
 #include "nnf/bridge.hpp"
 #include "packet/builder.hpp"
+#include "packet/flow_key.hpp"
+#include "packet/mbuf.hpp"
 
 namespace nnfv::compute {
 namespace {
@@ -39,10 +39,13 @@ TEST(NfInstance, ProcessesAfterServiceDelay) {
 
   std::vector<sim::SimTime> egress_times;
   instance.set_egress(nnf::kDefaultContext,
-                      [&](nnf::NfPortIndex, packet::PacketBuffer&&) {
-                        egress_times.push_back(simulator.now());
+                      [&](nnf::NfPortIndex, packet::PacketBurst&& burst) {
+                        for (std::size_t i = 0; i < burst.size(); ++i) {
+                          egress_times.push_back(simulator.now());
+                        }
                       });
-  instance.inject(nnf::kDefaultContext, 0, test_frame());
+  instance.inject_burst(nnf::kDefaultContext, 0,
+                        packet::burst_of(test_frame()));
   simulator.run();
   ASSERT_EQ(egress_times.size(), 1u);  // bridge floods to the other port
   // Service time = path_fixed(850) + nf_fixed(1000) + 0/byte.
@@ -57,11 +60,13 @@ TEST(NfInstance, QueuesBackToBack) {
   ASSERT_TRUE(instance.start().is_ok());
   int processed = 0;
   instance.set_egress(nnf::kDefaultContext,
-                      [&](nnf::NfPortIndex, packet::PacketBuffer&&) {
-                        ++processed;
+                      [&](nnf::NfPortIndex, packet::PacketBurst&& burst) {
+                        processed += static_cast<int>(burst.size());
                       });
-  instance.inject(nnf::kDefaultContext, 0, test_frame());
-  instance.inject(nnf::kDefaultContext, 0, test_frame());
+  instance.inject_burst(nnf::kDefaultContext, 0,
+                        packet::burst_of(test_frame()));
+  instance.inject_burst(nnf::kDefaultContext, 0,
+                        packet::burst_of(test_frame()));
   simulator.run();
   EXPECT_EQ(processed, 2);
   EXPECT_EQ(simulator.now(), 2 * 1850);
@@ -73,10 +78,12 @@ TEST(NfInstance, DropsWhenNotRunning) {
   NfInstance instance(
       1, "test", std::make_unique<nnf::Bridge>(),
       virt::CostModel(virt::BackendKind::kNative, {0, 0.0}), simulator);
-  instance.inject(nnf::kDefaultContext, 0, test_frame());  // created
+  instance.inject_burst(nnf::kDefaultContext, 0,
+                        packet::burst_of(test_frame()));  // created
   ASSERT_TRUE(instance.start().is_ok());
   ASSERT_TRUE(instance.stop().is_ok());
-  instance.inject(nnf::kDefaultContext, 0, test_frame());  // stopped
+  instance.inject_burst(nnf::kDefaultContext, 0,
+                        packet::burst_of(test_frame()));  // stopped
   simulator.run();
   EXPECT_EQ(instance.dropped_not_running(), 2u);
 }
@@ -106,20 +113,95 @@ TEST(NfInstance, EgressPerContext) {
   ASSERT_TRUE(instance.start().is_ok());
   int ctx0 = 0;
   int ctx1 = 0;
-  instance.set_egress(0, [&](nnf::NfPortIndex, packet::PacketBuffer&&) {
-    ++ctx0;
+  instance.set_egress(0, [&](nnf::NfPortIndex, packet::PacketBurst&& burst) {
+    ctx0 += static_cast<int>(burst.size());
   });
-  instance.set_egress(1, [&](nnf::NfPortIndex, packet::PacketBuffer&&) {
-    ++ctx1;
+  instance.set_egress(1, [&](nnf::NfPortIndex, packet::PacketBurst&& burst) {
+    ctx1 += static_cast<int>(burst.size());
   });
-  instance.inject(1, 0, test_frame());
+  instance.inject_burst(1, 0, packet::burst_of(test_frame()));
   simulator.run();
   EXPECT_EQ(ctx0, 0);
   EXPECT_EQ(ctx1, 1);
   instance.clear_egress(1);
-  instance.inject(1, 0, test_frame());
+  instance.inject_burst(1, 0, packet::burst_of(test_frame()));
   simulator.run();
   EXPECT_EQ(ctx1, 1);  // egress cleared: output discarded
+}
+
+/// UDP source port of a frame: the test below numbers frames by it.
+std::uint16_t seq_of(const packet::PacketBuffer& frame) {
+  auto fields = packet::extract_flow_fields(frame.data());
+  return fields.is_ok() ? fields->l4_src.value_or(0) : 0;
+}
+
+/// Two-port test function: an even-numbered frame leaves by port 0, an
+/// odd-numbered one by port 1, in arrival order.
+class ParitySplitter final : public nnf::NetworkFunction {
+ public:
+  [[nodiscard]] std::string_view type() const override { return "split"; }
+  [[nodiscard]] std::size_t num_ports() const override { return 2; }
+  util::Status configure(nnf::ContextId, const nnf::NfConfig&) override {
+    return util::Status::ok();
+  }
+  std::vector<nnf::NfOutput> process_burst(
+      nnf::ContextId, nnf::NfPortIndex, sim::SimTime,
+      packet::PacketBurst&& burst) override {
+    std::vector<nnf::NfOutput> out;
+    for (packet::PacketBuffer& frame : burst) {
+      const nnf::NfPortIndex port = seq_of(frame) % 2;
+      out.push_back(nnf::NfOutput{port, std::move(frame)});
+    }
+    return out;
+  }
+};
+
+TEST(NfInstance, BurstEgressGroupsPerPortInOrder) {
+  sim::Simulator simulator;
+  auto splitter = std::make_unique<ParitySplitter>();
+  ASSERT_TRUE(splitter->add_context(1).is_ok());
+  NfInstance instance(
+      1, "test", std::move(splitter),
+      virt::CostModel(virt::BackendKind::kNative, {0, 0.0}), simulator);
+  ASSERT_TRUE(instance.start().is_ok());
+
+  // One record per egress call: (context, out port, frame numbers).
+  struct Call {
+    nnf::ContextId ctx;
+    nnf::NfPortIndex port;
+    std::vector<std::uint16_t> seqs;
+  };
+  std::vector<Call> calls;
+  for (nnf::ContextId ctx : {0u, 1u}) {
+    instance.set_egress(ctx, [&calls, ctx](nnf::NfPortIndex port,
+                                           packet::PacketBurst&& burst) {
+      Call call{ctx, port, {}};
+      for (const packet::PacketBuffer& frame : burst) {
+        call.seqs.push_back(seq_of(frame));
+      }
+      calls.push_back(std::move(call));
+    });
+  }
+
+  packet::PacketBurst burst;
+  for (std::uint16_t seq : {1, 2, 3, 4, 5, 7, 6}) {
+    packet::UdpFrameSpec spec;
+    spec.src_port = seq;
+    burst.push_back(packet::build_udp_frame(spec));
+  }
+  instance.inject_burst(1, 0, std::move(burst));
+  simulator.run();
+
+  // One call per output port, first-seen port first, same-port order kept;
+  // context 0's egress sees nothing of context 1's burst.
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[0].ctx, 1u);
+  EXPECT_EQ(calls[0].port, 1u);
+  EXPECT_EQ(calls[0].seqs, (std::vector<std::uint16_t>{1, 3, 5, 7}));
+  EXPECT_EQ(calls[1].ctx, 1u);
+  EXPECT_EQ(calls[1].port, 0u);
+  EXPECT_EQ(calls[1].seqs, (std::vector<std::uint16_t>{2, 4, 6}));
+  EXPECT_EQ(instance.queue_stats().completed, 1u);  // one station item
 }
 
 // ---------------------------------------------------------------------------
@@ -190,7 +272,7 @@ class GenericDriverFixture : public ::testing::Test {
 };
 
 TEST_F(GenericDriverFixture, DockerDeployCreatesPortsAndAccounts) {
-  DockerDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kDocker, env_);
   EXPECT_TRUE(driver.can_deploy("ipsec"));
   EXPECT_FALSE(driver.can_deploy("ghost"));
 
@@ -216,7 +298,7 @@ TEST_F(GenericDriverFixture, DockerDeployCreatesPortsAndAccounts) {
 }
 
 TEST_F(GenericDriverFixture, VmUsesVmConstants) {
-  VmDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kVm, env_);
   auto deployed = driver.deploy(spec_for("ipsec"), lsi_);
   ASSERT_TRUE(deployed.is_ok());
   EXPECT_EQ(std::string(driver.name()), "libvirt");
@@ -230,7 +312,7 @@ TEST_F(GenericDriverFixture, VmUsesVmConstants) {
 TEST_F(GenericDriverFixture, DeployFailsWhenRamExhausted) {
   virt::RamLedger tiny(10 * virt::kMiB);
   env_.ram = &tiny;
-  VmDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kVm, env_);
   auto deployed = driver.deploy(spec_for("ipsec"), lsi_);
   ASSERT_FALSE(deployed.is_ok());
   EXPECT_EQ(deployed.status().code(), util::ErrorCode::kResourceExhausted);
@@ -240,7 +322,7 @@ TEST_F(GenericDriverFixture, DeployFailsWhenRamExhausted) {
 }
 
 TEST_F(GenericDriverFixture, DeployFailsOnBadConfig) {
-  DockerDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kDocker, env_);
   NfDeploySpec spec = spec_for("nat");
   spec.config["external_ip"] = "not-an-ip";
   auto deployed = driver.deploy(spec, lsi_);
@@ -250,7 +332,7 @@ TEST_F(GenericDriverFixture, DeployFailsOnBadConfig) {
 }
 
 TEST_F(GenericDriverFixture, DatapathFlowsThroughLsi) {
-  DockerDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kDocker, env_);
   auto deployed = driver.deploy(spec_for("bridge"), lsi_);
   ASSERT_TRUE(deployed.is_ok());
 
@@ -258,8 +340,9 @@ TEST_F(GenericDriverFixture, DatapathFlowsThroughLsi) {
   const auto ext_in = lsi_.add_port("ext-in").value();
   const auto ext_out = lsi_.add_port("ext-out").value();
   int delivered = 0;
-  (void)lsi_.set_port_peer(ext_out,
-                           [&](packet::PacketBuffer&&) { ++delivered; });
+  (void)lsi_.set_port_peer(ext_out, [&](packet::PacketBurst&& burst) {
+    delivered += static_cast<int>(burst.size());
+  });
   lsi_.flow_table().add(
       10, nfswitch::match_in_port(ext_in),
       {nfswitch::FlowAction::output(deployed->ports[0].lsi_port)});
@@ -272,8 +355,41 @@ TEST_F(GenericDriverFixture, DatapathFlowsThroughLsi) {
   EXPECT_EQ(delivered, 1);  // bridge flooded out its port 1 -> ext-out
 }
 
+TEST_F(GenericDriverFixture, UndeployWithBurstInServiceQueue) {
+  // The instance is undeployed while a burst is in service, its completion
+  // event still in the simulator. Running that event afterwards must
+  // release the frames, not touch the freed instance or deliver them.
+  const packet::MbufPoolStats before = packet::MbufPool::global_stats();
+  int delivered = 0;
+  {
+    GenericVnfDriver driver(virt::BackendKind::kDocker, env_);
+    auto deployed = driver.deploy(spec_for("bridge"), lsi_);
+    ASSERT_TRUE(deployed.is_ok());
+    const auto ext_in = lsi_.add_port("ext-in").value();
+    const auto ext_out = lsi_.add_port("ext-out").value();
+    (void)lsi_.set_port_peer(ext_out, [&](packet::PacketBurst&& burst) {
+      delivered += static_cast<int>(burst.size());
+    });
+    lsi_.flow_table().add(
+        10, nfswitch::match_in_port(ext_in),
+        {nfswitch::FlowAction::output(deployed->ports[0].lsi_port)});
+    lsi_.flow_table().add(
+        10, nfswitch::match_in_port(deployed->ports[1].lsi_port),
+        {nfswitch::FlowAction::output(ext_out)});
+
+    lsi_.receive(ext_in, test_frame());
+    EXPECT_FALSE(simulator_.idle());  // the burst is in service
+    ASSERT_TRUE(driver.undeploy(deployed.value()).is_ok());
+    simulator_.run();
+  }
+  EXPECT_EQ(delivered, 0);
+  const packet::MbufPoolStats after = packet::MbufPool::global_stats();
+  EXPECT_EQ(after.segment_allocs - before.segment_allocs,
+            after.segment_frees - before.segment_frees);
+}
+
 TEST_F(GenericDriverFixture, UpdateReconfiguresFunction) {
-  DockerDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kDocker, env_);
   auto deployed = driver.deploy(spec_for("nat"), lsi_);
   ASSERT_TRUE(deployed.is_ok());
   EXPECT_TRUE(
@@ -286,8 +402,8 @@ TEST_F(GenericDriverFixture, UpdateReconfiguresFunction) {
 }
 
 TEST_F(GenericDriverFixture, SharedLayersAcrossBackends) {
-  DockerDriver docker(env_);
-  DpdkDriver dpdk(env_);
+  GenericVnfDriver docker(virt::BackendKind::kDocker, env_);
+  GenericVnfDriver dpdk(virt::BackendKind::kDpdk, env_);
   auto a = docker.deploy(spec_for("ipsec"), lsi_);
   ASSERT_TRUE(a.is_ok());
   const std::uint64_t after_docker = disk_.used();
@@ -306,12 +422,13 @@ TEST_F(GenericDriverFixture, SharedLayersAcrossBackends) {
 
 TEST_F(GenericDriverFixture, ManagerDispatchesAndTracks) {
   ComputeManager manager;
+  auto driver = [this](virt::BackendKind kind) {
+    return std::make_unique<GenericVnfDriver>(kind, env_);
+  };
   ASSERT_TRUE(
-      manager.register_driver(std::make_unique<DockerDriver>(env_)).is_ok());
-  ASSERT_TRUE(
-      manager.register_driver(std::make_unique<VmDriver>(env_)).is_ok());
-  EXPECT_FALSE(
-      manager.register_driver(std::make_unique<VmDriver>(env_)).is_ok());
+      manager.register_driver(driver(virt::BackendKind::kDocker)).is_ok());
+  ASSERT_TRUE(manager.register_driver(driver(virt::BackendKind::kVm)).is_ok());
+  EXPECT_FALSE(manager.register_driver(driver(virt::BackendKind::kVm)).is_ok());
   EXPECT_FALSE(manager.register_driver(nullptr).is_ok());
   EXPECT_TRUE(manager.has_driver(virt::BackendKind::kDocker));
   EXPECT_FALSE(manager.has_driver(virt::BackendKind::kNative));

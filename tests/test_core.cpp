@@ -2,10 +2,9 @@
 // scheduler policy, network manager (LSIs + virtual links) and steering.
 #include <gtest/gtest.h>
 
-#include "compute/docker_driver.hpp"
+#include "compute/generic_driver.hpp"
 #include "compute/manager.hpp"
 #include "compute/native_driver.hpp"
-#include "compute/vm_driver.hpp"
 #include "core/network_manager.hpp"
 #include "core/repository.hpp"
 #include "core/resolver.hpp"
@@ -97,10 +96,10 @@ class ResolverFixture : public ::testing::Test {
     native.ram = &resources_.ram();
     (void)manager_.register_driver(
         std::make_unique<compute::NativeDriver>(native));
-    (void)manager_.register_driver(
-        std::make_unique<compute::DockerDriver>(generic));
-    (void)manager_.register_driver(
-        std::make_unique<compute::VmDriver>(generic));
+    (void)manager_.register_driver(std::make_unique<compute::GenericVnfDriver>(
+        virt::BackendKind::kDocker, generic));
+    (void)manager_.register_driver(std::make_unique<compute::GenericVnfDriver>(
+        virt::BackendKind::kVm, generic));
   }
 
   sim::Simulator simulator_;
@@ -294,15 +293,17 @@ TEST_F(SteeringFixture, EndToEndClassificationAndRestoration) {
   // fw ports loop back for the test: anything into fw:0 leaves fw:1.
   (void)lsi_->set_port_peer(
       ports_.nf_ports[{"fw", 0}],
-      [this](packet::PacketBuffer&& frame) {
-        lsi_->receive(ports_.nf_ports[{"fw", 1}], std::move(frame));
+      [this](packet::PacketBurst&& burst) {
+        lsi_->receive_burst(ports_.nf_ports[{"fw", 1}], std::move(burst));
       });
 
   std::vector<packet::PacketBuffer> wan_out;
   ASSERT_TRUE(network_
                   .set_physical_egress("eth1",
-                                       [&](packet::PacketBuffer&& frame) {
-                                         wan_out.push_back(std::move(frame));
+                                       [&](packet::PacketBurst&& burst) {
+                                         for (auto& frame : burst) {
+                                           wan_out.push_back(std::move(frame));
+                                         }
                                        })
                   .is_ok());
 
@@ -313,8 +314,10 @@ TEST_F(SteeringFixture, EndToEndClassificationAndRestoration) {
   spec.ip_dst = *packet::Ipv4Address::parse("8.8.8.8");
   spec.src_port = 1;
   spec.dst_port = 2;
-  ASSERT_TRUE(
-      network_.inject("eth0", packet::build_udp_frame(spec)).is_ok());
+  ASSERT_TRUE(network_
+                  .inject_burst("eth0",
+                                packet::burst_of(packet::build_udp_frame(spec)))
+                  .is_ok());
 
   ASSERT_EQ(wan_out.size(), 1u);
   // The WAN endpoint is untagged: the VLAN 10 tag was popped at LSI-0.
@@ -327,21 +330,25 @@ TEST_F(SteeringFixture, ReturnPathReTagsVlan) {
                   .is_ok());
   (void)lsi_->set_port_peer(
       ports_.nf_ports[{"fw", 1}],
-      [this](packet::PacketBuffer&& frame) {
-        lsi_->receive(ports_.nf_ports[{"fw", 0}], std::move(frame));
+      [this](packet::PacketBurst&& burst) {
+        lsi_->receive_burst(ports_.nf_ports[{"fw", 0}], std::move(burst));
       });
   std::vector<packet::PacketBuffer> lan_out;
   ASSERT_TRUE(network_
                   .set_physical_egress("eth0",
-                                       [&](packet::PacketBuffer&& frame) {
-                                         lan_out.push_back(std::move(frame));
+                                       [&](packet::PacketBurst&& burst) {
+                                         for (auto& frame : burst) {
+                                           lan_out.push_back(std::move(frame));
+                                         }
                                        })
                   .is_ok());
   packet::UdpFrameSpec spec;  // untagged from WAN
   spec.ip_src = *packet::Ipv4Address::parse("8.8.8.8");
   spec.ip_dst = *packet::Ipv4Address::parse("192.168.1.2");
-  ASSERT_TRUE(
-      network_.inject("eth1", packet::build_udp_frame(spec)).is_ok());
+  ASSERT_TRUE(network_
+                  .inject_burst("eth1",
+                                packet::burst_of(packet::build_udp_frame(spec)))
+                  .is_ok());
   ASSERT_EQ(lan_out.size(), 1u);
   // LAN endpoint is VLAN 10: the return traffic is re-tagged.
   EXPECT_EQ(packet::parse_ethernet(lan_out[0].data())->vlan.value_or(0), 10);
@@ -358,20 +365,25 @@ TEST_F(SteeringFixture, PacketFiltersNarrowRules) {
                                        TrafficSteering::cookie_for("g1"))
                   .is_ok());
   int fw_rx = 0;
-  (void)lsi_->set_port_peer(ports_.nf_ports[{"fw", 0}],
-                            [&](packet::PacketBuffer&&) { ++fw_rx; });
+  (void)lsi_->set_port_peer(
+      ports_.nf_ports[{"fw", 0}],
+      [&](packet::PacketBurst&& burst) {
+        fw_rx += static_cast<int>(burst.size());
+      });
 
   packet::UdpFrameSpec dns;
   dns.vlan = 10;
   dns.ip_src = *packet::Ipv4Address::parse("192.168.1.2");
   dns.ip_dst = *packet::Ipv4Address::parse("8.8.8.8");
   dns.dst_port = 53;
-  (void)network_.inject("eth0", packet::build_udp_frame(dns));
+  (void)network_.inject_burst("eth0",
+                              packet::burst_of(packet::build_udp_frame(dns)));
   EXPECT_EQ(fw_rx, 1);
 
   packet::UdpFrameSpec other = dns;
   other.dst_port = 80;
-  (void)network_.inject("eth0", packet::build_udp_frame(other));
+  (void)network_.inject_burst(
+      "eth0", packet::burst_of(packet::build_udp_frame(other)));
   EXPECT_EQ(fw_rx, 1);  // not matched: graph-LSI table miss, dropped
 }
 

@@ -6,6 +6,7 @@
 #include "compute/native_driver.hpp"
 #include "packet/builder.hpp"
 #include "packet/flow_key.hpp"
+#include "packet/mbuf.hpp"
 
 namespace nnfv::compute {
 namespace {
@@ -145,6 +146,39 @@ TEST_F(NativeDriverFixture, UndeployLastContextDestroysInstance) {
   EXPECT_EQ(driver_->total_instances(), 0u);
 }
 
+TEST_F(NativeDriverFixture, UndeployLastContextWithBurstQueued) {
+  // The last context of a single-interface NNF goes away while a burst is
+  // in its service station: the instance and its adaptation layer are
+  // freed with the event still in the simulator. Running that event must
+  // release the frames, not deliver them through the freed layer.
+  const packet::MbufPoolStats before = packet::MbufPool::global_stats();
+  auto deployed = driver_->deploy(spec_for("gA", "fw", "firewall"), lsi_a_);
+  ASSERT_TRUE(deployed.is_ok());
+  const auto ext_in = lsi_a_.add_port("ext-in").value();
+  const auto ext_out = lsi_a_.add_port("ext-out").value();
+  int delivered = 0;
+  (void)lsi_a_.set_port_peer(ext_out, [&](packet::PacketBurst&& burst) {
+    delivered += static_cast<int>(burst.size());
+  });
+  lsi_a_.flow_table().add(
+      10, nfswitch::match_in_port(ext_in),
+      {nfswitch::FlowAction::output(deployed->ports[0].lsi_port)});
+  lsi_a_.flow_table().add(
+      10, nfswitch::match_in_port(deployed->ports[1].lsi_port),
+      {nfswitch::FlowAction::output(ext_out)});
+
+  lsi_a_.receive(ext_in, udp_frame("192.168.1.10"));
+  EXPECT_FALSE(simulator_.idle());  // the burst is in service
+  ASSERT_TRUE(driver_->undeploy(deployed.value()).is_ok());
+  EXPECT_EQ(driver_->total_instances(), 0u);
+  simulator_.run();
+
+  EXPECT_EQ(delivered, 0);
+  const packet::MbufPoolStats after = packet::MbufPool::global_stats();
+  EXPECT_EQ(after.segment_allocs - before.segment_allocs,
+            after.segment_frees - before.segment_frees);
+}
+
 TEST_F(NativeDriverFixture, SingleInterfaceNnfUsesMarks) {
   auto deployed = driver_->deploy(spec_for("gA", "nat", "nat"), lsi_a_);
   ASSERT_TRUE(deployed.is_ok());
@@ -166,8 +200,8 @@ TEST_F(NativeDriverFixture, SingleInterfaceDatapathTranslates) {
   const auto ext_in = lsi_a_.add_port("ext-in").value();
   const auto ext_out = lsi_a_.add_port("ext-out").value();
   std::vector<packet::PacketBuffer> delivered;
-  (void)lsi_a_.set_port_peer(ext_out, [&](packet::PacketBuffer&& frame) {
-    delivered.push_back(std::move(frame));
+  (void)lsi_a_.set_port_peer(ext_out, [&](packet::PacketBurst&& burst) {
+    for (auto& frame : burst) delivered.push_back(std::move(frame));
   });
   lsi_a_.flow_table().add(
       10, nfswitch::match_in_port(ext_in),
@@ -206,8 +240,8 @@ TEST_F(NativeDriverFixture, SharedNatKeepsGraphTrafficApart) {
                   std::vector<packet::PacketBuffer>& sink) {
     const auto ext_in = lsi.add_port("ext-in").value();
     const auto ext_out = lsi.add_port("ext-out").value();
-    (void)lsi.set_port_peer(ext_out, [&sink](packet::PacketBuffer&& frame) {
-      sink.push_back(std::move(frame));
+    (void)lsi.set_port_peer(ext_out, [&sink](packet::PacketBurst&& burst) {
+      for (auto& frame : burst) sink.push_back(std::move(frame));
     });
     lsi.flow_table().add(
         10, nfswitch::match_in_port(ext_in),

@@ -380,12 +380,12 @@ TEST(ShardedDatapath, LsiClassifyFromFourWorkers) {
         {nfswitch::FlowAction::output(port % 2 == 0 ? out_a : out_b)});
   }
   std::atomic<std::uint64_t> got_a{0}, got_b{0};
-  ASSERT_TRUE(lsi.set_port_burst_peer(out_a, [&](packet::PacketBurst&& b) {
-                   got_a += b.size();
-                 }).is_ok());
-  ASSERT_TRUE(lsi.set_port_burst_peer(out_b, [&](packet::PacketBurst&& b) {
-                   got_b += b.size();
-                 }).is_ok());
+  ASSERT_TRUE(lsi.set_port_peer(out_a, [&](packet::PacketBurst&& b) {
+                got_a += b.size();
+              }).is_ok());
+  ASSERT_TRUE(lsi.set_port_peer(out_b, [&](packet::PacketBurst&& b) {
+                got_b += b.size();
+              }).is_ok());
 
   exec::DatapathExecutorConfig config;
   config.workers = 4;

@@ -309,8 +309,8 @@ TEST(Lsi, ForwardsPerFlowTable) {
   const PortId out = lsi.add_port("out").value();
 
   std::vector<packet::PacketBuffer> received;
-  (void)lsi.set_port_peer(out, [&](packet::PacketBuffer&& frame) {
-    received.push_back(std::move(frame));
+  (void)lsi.set_port_peer(out, [&](packet::PacketBurst&& burst) {
+    for (auto& frame : burst) received.push_back(std::move(frame));
   });
   lsi.flow_table().add(1, match_in_port(in), {FlowAction::output(out)});
 
@@ -341,10 +341,12 @@ TEST(Lsi, ReplicatesToMultipleOutputs) {
   const PortId out2 = lsi.add_port("out2").value();
   int count1 = 0;
   int count2 = 0;
-  (void)lsi.set_port_peer(out1,
-                          [&](packet::PacketBuffer&&) { ++count1; });
-  (void)lsi.set_port_peer(out2,
-                          [&](packet::PacketBuffer&&) { ++count2; });
+  (void)lsi.set_port_peer(out1, [&](packet::PacketBurst&& burst) {
+    count1 += static_cast<int>(burst.size());
+  });
+  (void)lsi.set_port_peer(out2, [&](packet::PacketBurst&& burst) {
+    count2 += static_cast<int>(burst.size());
+  });
   lsi.flow_table().add(
       1, match_in_port(in),
       {FlowAction::output(out1), FlowAction::output(out2)});
@@ -371,9 +373,11 @@ TEST(Lsi, VlanSteeringPipeline) {
 
   packet::PacketBuffer forwarded;
   bool got = false;
-  (void)lsi.set_port_peer(vlink, [&](packet::PacketBuffer&& frame) {
-    forwarded = std::move(frame);
-    got = true;
+  (void)lsi.set_port_peer(vlink, [&](packet::PacketBurst&& burst) {
+    for (auto& frame : burst) {
+      forwarded = std::move(frame);
+      got = true;
+    }
   });
 
   FlowMatch tagged = match_port_vlan(phys, 10);
@@ -390,7 +394,9 @@ TEST(Lsi, ScalesToManyRules) {
   const PortId in = lsi.add_port("in").value();
   const PortId out = lsi.add_port("out").value();
   int received = 0;
-  (void)lsi.set_port_peer(out, [&](packet::PacketBuffer&&) { ++received; });
+  (void)lsi.set_port_peer(out, [&](packet::PacketBurst&& burst) {
+    received += static_cast<int>(burst.size());
+  });
   // 1000 specific rules + 1 catch-all.
   for (int i = 0; i < 1000; ++i) {
     FlowMatch match;
@@ -573,11 +579,13 @@ TEST(LsiBurst, BurstFollowsFlowTable) {
   const PortId out_a = lsi.add_port("a").value();
   const PortId out_b = lsi.add_port("b").value();
   std::vector<std::size_t> burst_sizes;
-  std::uint64_t singles = 0;
-  (void)lsi.set_port_burst_peer(out_a, [&](packet::PacketBurst&& burst) {
+  std::vector<std::size_t> b_sizes;
+  (void)lsi.set_port_peer(out_a, [&](packet::PacketBurst&& burst) {
     burst_sizes.push_back(burst.size());
   });
-  (void)lsi.set_port_peer(out_b, [&](packet::PacketBuffer&&) { ++singles; });
+  (void)lsi.set_port_peer(out_b, [&](packet::PacketBurst&& burst) {
+    b_sizes.push_back(burst.size());
+  });
 
   FlowMatch to_a;
   to_a.in_port = in;
@@ -597,14 +605,32 @@ TEST(LsiBurst, BurstFollowsFlowTable) {
   }
   lsi.receive_burst(in, std::move(burst));
 
-  // Port a has a burst peer: one call with all 5 frames. Port b falls back
-  // to per-frame delivery.
+  // Each port gets one call with all of its frames: 5 to a, 3 to b.
   ASSERT_EQ(burst_sizes.size(), 1u);
   EXPECT_EQ(burst_sizes[0], 5u);
-  EXPECT_EQ(singles, 3u);
+  ASSERT_EQ(b_sizes.size(), 1u);
+  EXPECT_EQ(b_sizes[0], 3u);
   EXPECT_EQ(lsi.port_stats(out_a)->tx_packets, 5u);
   EXPECT_EQ(lsi.port_stats(out_b)->tx_packets, 3u);
   EXPECT_EQ(lsi.processed_packets(), 8u);
+}
+
+TEST(LsiBurst, PeerlessPortCountsEveryFrame) {
+  // A port with no peer drops what it is given, and counts every frame in
+  // tx_packets and tx_no_peer, whether it came alone or in a burst.
+  Lsi lsi(1, "peerless");
+  const PortId out = lsi.add_port("out").value();
+  lsi.transmit(out, make_udp("1.1.1.1", "2.2.2.2", 1, 2));
+  EXPECT_EQ(lsi.port_stats(out)->tx_packets, 1u);
+  EXPECT_EQ(lsi.port_stats(out)->tx_no_peer, 1u);
+
+  packet::PacketBurst burst;
+  for (int i = 0; i < 4; ++i) {
+    burst.push_back(make_udp("1.1.1.1", "2.2.2.2", 1, 2));
+  }
+  lsi.transmit_burst(out, std::move(burst));
+  EXPECT_EQ(lsi.port_stats(out)->tx_packets, 5u);
+  EXPECT_EQ(lsi.port_stats(out)->tx_no_peer, 5u);
 }
 
 TEST(LsiBurst, BurstMissesPuntToController) {
@@ -655,7 +681,7 @@ class BurstLsi {
     a = lsi_.add_port("a").value();
     b = lsi_.add_port("b").value();
     for (PortId port : {a, b}) {
-      (void)lsi_.set_port_burst_peer(
+      (void)lsi_.set_port_peer(
           port, [this, port](packet::PacketBurst&& burst) {
             Tx tx{port, {}, burst.data()};
             for (const packet::PacketBuffer& frame : burst) {
@@ -857,12 +883,12 @@ TEST(LsiBurst, ControllerPacketOutDoesNotOvertakeEarlierFrames) {
   const PortId p1 = lsi.add_port("p1").value();
   const PortId p2 = lsi.add_port("p2").value();
   std::vector<std::uint16_t> at_p2;
-  (void)lsi.set_port_burst_peer(p2, [&](packet::PacketBurst&& burst) {
+  (void)lsi.set_port_peer(p2, [&](packet::PacketBurst&& burst) {
     for (const packet::PacketBuffer& frame : burst) {
       at_p2.push_back(seq_of(frame));
     }
   });
-  (void)lsi.set_port_burst_peer(p1, [](packet::PacketBurst&&) {});
+  (void)lsi.set_port_peer(p1, [](packet::PacketBurst&&) {});
   LearningController controller;
   lsi.set_controller(&controller);
 
@@ -910,7 +936,7 @@ TEST(LsiBurst, PuntAfterSpillFlushesGroupsThenCompactsAgain) {
   };
   std::vector<Tx> sent;
   for (PortId port : {p1, p2, p3}) {
-    (void)lsi.set_port_burst_peer(
+    (void)lsi.set_port_peer(
         port, [&sent, port](packet::PacketBurst&& burst) {
           Tx tx{port, {}, burst.data()};
           for (const packet::PacketBuffer& frame : burst) {

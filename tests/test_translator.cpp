@@ -211,8 +211,8 @@ class LearningFixture : public ::testing::Test {
     p3_ = lsi_.add_port("p3").value();
     for (auto [port, sink] : {std::pair{p1_, &rx1_}, std::pair{p2_, &rx2_},
                               std::pair{p3_, &rx3_}}) {
-      (void)lsi_.set_port_peer(port, [sink](packet::PacketBuffer&&) {
-        ++*sink;
+      (void)lsi_.set_port_peer(port, [sink](packet::PacketBurst&& burst) {
+        *sink += static_cast<int>(burst.size());
       });
     }
     lsi_.set_controller(&controller_);
