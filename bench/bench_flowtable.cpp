@@ -8,7 +8,9 @@
 // bench_json.hpp; the headline `speedup_vs_linear` at 1024 entries is the
 // acceptance metric for the classifier rewrite. The `lsi_hop_*` rows time
 // one whole switch hop (decode, priority split, lookup, actions, egress)
-// per frame through Lsi::receive_burst; the `nat_hit_*` rows time a NAT
+// per frame through Lsi::receive_burst, and `lsi_link_hop_512_flows` a
+// frame's way from LSI-0 across a virtual link through a graph LSI to its
+// port; the `nat_hit_*` rows time a NAT
 // session hit per frame (decode, lookup, in-place rewrite) and the
 // `internet_checksum_*` rows the checksum kernel per call. Those rows
 // report ns_per_op only.
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "core/network_manager.hpp"
 #include "nnf/nat.hpp"
 #include "packet/builder.hpp"
 #include "packet/checksum.hpp"
@@ -138,6 +141,52 @@ std::pair<double, std::uint64_t> measure_lsi_hop(
         burst.push_back(std::move(returned[p][taken[p]++]));
       }
     }
+    next = next + 1 == bursts.size() ? 0 : next + 1;
+  });
+  return {ns / kHopBurst, iters};
+}
+
+/// LSI-0 -> virtual link -> graph LSI -> port, per frame: 32-frame bursts
+/// of 64 B UDP frames over `flows` flows enter LSI-0's physical port, whose
+/// rule outputs to the link; the graph LSI's rule sends them to one port,
+/// whose peer hands them back for the next round. The link is built by
+/// NetworkManager::create_virtual_link, as a deployed graph's is.
+/// Returns {ns per frame, bursts timed}.
+std::pair<double, std::uint64_t> measure_lsi_link_hop(int flows) {
+  core::NetworkManager network;
+  const nfswitch::PortId in = network.add_physical_port("in").value();
+  nfswitch::Lsi& graph = *network.create_graph_lsi("g").value();
+  const core::VirtualLink link =
+      network.create_virtual_link("g", "lan").value();
+  const nfswitch::PortId out = graph.add_port("out").value();
+  network.base_lsi().flow_table().add(
+      10, nfswitch::match_in_port(in),
+      {nfswitch::FlowAction::output(link.base_port)});
+  nfswitch::FlowMatch match = nfswitch::match_in_port(link.graph_port);
+  match.tp_dst = 2000;
+  graph.flow_table().add(10, match, {nfswitch::FlowAction::output(out)});
+  packet::PacketBurst returned;
+  (void)graph.set_port_peer(out, [&returned](packet::PacketBurst&& burst) {
+    returned = std::move(burst);
+  });
+  std::vector<packet::PacketBurst> bursts(
+      static_cast<std::size_t>(std::max(1, flows / kHopBurst)));
+  static const std::vector<std::uint8_t> payload(22, 0);  // 64 B frames
+  for (int i = 0; i < static_cast<int>(bursts.size()) * kHopBurst; ++i) {
+    packet::UdpFrameSpec spec;
+    spec.ip_src = *packet::Ipv4Address::parse("10.0.0.1");
+    spec.ip_dst = *packet::Ipv4Address::parse("10.0.0.2");
+    spec.src_port = static_cast<std::uint16_t>(1000 + i % flows);
+    spec.dst_port = 2000;
+    spec.payload = payload;
+    bursts[static_cast<std::size_t>(i / kHopBurst)].push_back(
+        packet::build_udp_frame(spec));
+  }
+  std::size_t next = 0;
+  auto [ns, iters] = bench::measure_ns([&]() {
+    packet::PacketBurst& burst = bursts[next];
+    network.base_lsi().receive_burst(in, std::move(burst));
+    burst = std::move(returned);
     next = next + 1 == bursts.size() ? 0 : next + 1;
   });
   return {ns / kHopBurst, iters};
@@ -304,6 +353,12 @@ int main(int argc, char** argv) {
     auto [hop_ns, hop_iters] = measure_lsi_hop(hop.flows, hop.port_of);
     std::printf("%-28s %12s %12.1f\n", hop.name, "-", hop_ns);
     report.add(hop.name, hop_iters, hop_ns);
+  }
+  {
+    auto [link_ns, link_iters] = measure_lsi_link_hop(512);
+    std::printf("%-28s %12s %12.1f\n", "lsi_link_hop_512_flows", "-",
+                link_ns);
+    report.add("lsi_link_hop_512_flows", link_iters, link_ns);
   }
 
   for (std::size_t size : {64u, 1408u}) {

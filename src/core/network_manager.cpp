@@ -90,18 +90,7 @@ Result<VirtualLink> NetworkManager::create_virtual_link(
     (void)base_->remove_port(base_port.value());
     return graph_port.status();
   }
-  // Cross-wire the two ends.
-  nfswitch::Lsi* base_raw = base_.get();
-  (void)base_->set_port_peer(
-      base_port.value(),
-      [graph, gp = graph_port.value()](packet::PacketBurst&& burst) {
-        graph->receive_burst(gp, std::move(burst));
-      });
-  (void)graph->set_port_peer(
-      graph_port.value(),
-      [base_raw, bp = base_port.value()](packet::PacketBurst&& burst) {
-        base_raw->receive_burst(bp, std::move(burst));
-      });
+  (void)base_->link(base_port.value(), *graph, graph_port.value());
   graph_link_ports_[graph_id].push_back(base_port.value());
   return VirtualLink{base_port.value(), graph_port.value()};
 }

@@ -15,7 +15,8 @@
 
 namespace nnfv::core {
 
-/// A virtual link between LSI-0 and a graph LSI (two cross-wired ports).
+/// A virtual link between LSI-0 and a graph LSI (two linked ports,
+/// Lsi::link).
 struct VirtualLink {
   nfswitch::PortId base_port = nfswitch::kInvalidPort;   ///< on LSI-0
   nfswitch::PortId graph_port = nfswitch::kInvalidPort;  ///< on graph LSI

@@ -6,22 +6,45 @@ namespace nnfv::nfswitch {
 
 namespace {
 
-/// Adds the tally's run of hits to the entry it belongs to and starts an
-/// empty run.
-void flush_run(LookupTally& tally) {
-  if (tally.entry == nullptr) return;
-  tally.entry->stats.packets += tally.entry_packets;
-  tally.entry->stats.bytes += tally.entry_bytes;
-  tally.entry_packets = 0;
-  tally.entry_bytes = 0;
-}
+/// The target of FlowTable::kNoPeer; never matched or counted.
+FlowEntry no_peer;
 
 }  // namespace
 
-void FlowTable::touch() {
+FlowEntry* const FlowTable::kNoPeer = &no_peer;
+
+void LookupTally::flush_run() {
+  if (entry == nullptr) return;
+  entry->stats.packets += entry_packets;
+  entry->stats.bytes += entry_bytes;
+  entry_packets = 0;
+  entry_bytes = 0;
+}
+
+void FlowTable::allocate_cache(std::unique_ptr<Cache>& cache) {
+  cache = std::make_unique<Cache>();
+}
+
+void FlowTable::invalidate_cache() {
   // invalidates every microflow-cache slot (of every worker) at once
-  generation_.fetch_add(1, std::memory_order_release);
+  epoch_->fetch_add(1, std::memory_order_release);
+}
+
+void FlowTable::touch() {
+  invalidate_cache();
   classifier_dirty_.store(true, std::memory_order_release);
+}
+
+void FlowTable::join_epoch(FlowTable& other) {
+  if (epoch_ != other.epoch_) {
+    // Start the shared epoch above both: no slot filled under either old
+    // epoch can match it after the bump below.
+    other.epoch_->store(std::max(epoch_->load(std::memory_order_acquire),
+                                 other.epoch_->load(std::memory_order_acquire)),
+                        std::memory_order_release);
+    epoch_ = other.epoch_;
+  }
+  invalidate_cache();
 }
 
 void FlowTable::ensure_classifier() const {
@@ -124,44 +147,14 @@ FlowEntry* FlowTable::lookup_key(const FlowKeyView& key,
 FlowEntry* FlowTable::lookup_key(const FlowKeyView& key,
                                  std::size_t packet_bytes,
                                  LookupTally& tally) {
-  ++tally.lookups;
-  // Each worker slot owns its cache outright (allocated on first use by
-  // the owning thread), so slot probes and fills are unsynchronized.
-  auto& cache = caches_[exec::current_worker_slot()];
-  if (cache == nullptr) {
-    cache = std::make_unique<std::array<CacheSlot, kCacheSlots>>();
-  }
-  const std::uint64_t generation =
-      generation_.load(std::memory_order_acquire);
-  CacheSlot& slot = (*cache)[key.hash() & (kCacheSlots - 1)];
-  FlowEntry* entry = nullptr;
-  if (slot.generation == generation && slot.key == key) {
-    ++tally.hits;
-    entry = slot.entry;
-  } else {
-    entry = classify(key);
-    slot.generation = generation;
-    slot.key = key;
-    slot.entry = entry;
-  }
-  if (entry == nullptr) {
-    ++tally.misses;
-    return nullptr;
-  }
-  if (entry != tally.entry) {
-    flush_run(tally);
-    tally.entry = entry;
-  }
-  ++tally.entry_packets;
-  tally.entry_bytes += packet_bytes;
-  return entry;
+  return commit(probe(key), key, packet_bytes, tally);
 }
 
 void FlowTable::publish(LookupTally& tally) {
   if (tally.lookups != 0) cache_lookups_ += tally.lookups;
   if (tally.hits != 0) cache_hits_ += tally.hits;
   if (tally.misses != 0) misses_ += tally.misses;
-  flush_run(tally);
+  tally.flush_run();
   tally = LookupTally{};
 }
 

@@ -4,6 +4,8 @@
 // Lookup is tiered (see docs/datapath.md):
 //   1. a direct-mapped exact-match *microflow cache* keyed on the packet's
 //      full decoded fields, invalidated wholesale on any table mutation;
+//      a slot can also carry the linked table's entry for the same frame
+//      after a virtual-link crossing (a composed slot, see Lsi::link);
 //   2. a tuple-space classifier: one hash probe per distinct match shape,
 //      probed in descending max-priority order with early exit.
 // Both tiers reproduce the documented linear-scan semantics exactly:
@@ -70,7 +72,43 @@ struct LookupTally {
   FlowEntry* entry = nullptr;  ///< entry the run below belongs to
   std::uint64_t entry_packets = 0;
   std::uint64_t entry_bytes = 0;
+
+  /// Counts one lookup that resolved to `matched` (nullptr = table
+  /// miss); `hit` says whether a cache slot answered it.
+  void count(FlowEntry* matched, bool hit, std::size_t packet_bytes) {
+    ++lookups;
+    if (hit) ++hits;
+    if (matched == nullptr) {
+      ++misses;
+      return;
+    }
+    if (matched != entry) {
+      flush_run();
+      entry = matched;
+    }
+    ++entry_packets;
+    entry_bytes += packet_bytes;
+  }
+
+  /// Adds the run of hits to the entry it belongs to and starts an empty
+  /// run.
+  void flush_run();
 };
+
+/// One slot of a microflow cache: 64 B and 64 B aligned, so a probe
+/// touches one cache line.
+struct alignas(64) CacheSlot {
+  std::uint64_t generation = 0;  ///< valid iff == the table's epoch
+  FlowKeyView key;
+  FlowEntry* entry = nullptr;  ///< nullptr = cached miss
+  /// Composed slot: when `entry` only outputs to a virtual link, the
+  /// linked table's entry for the same frame (Lsi::link). nullptr until
+  /// the first crossing of the epoch resolves it; FlowTable::kNoPeer when
+  /// the frame crosses uncomposed. Valid under the same generation: the
+  /// two tables share one epoch.
+  FlowEntry* peer = nullptr;
+};
+static_assert(sizeof(CacheSlot) == 64);
 
 /// Highest-priority-wins lookup; among equal priorities the earliest-added
 /// entry wins (OpenFlow leaves this undefined; we pin it for determinism).
@@ -97,6 +135,55 @@ class FlowTable {
   /// mutate the table (a controller packet-in) or read its counters.
   FlowEntry* lookup_key(const FlowKeyView& key, std::size_t packet_bytes,
                         LookupTally& tally);
+
+  /// A lookup split in two, so a caller can see the result before it
+  /// counts: probe() reads the cache (or the classifier) and changes
+  /// nothing; commit() counts the lookup into `tally` and, on a cache
+  /// miss, fills the slot. probe + commit == lookup_key. The probed slot's
+  /// `peer` field is the caller's to read and fill (composed slot).
+  struct Probe {
+    CacheSlot* slot = nullptr;
+    std::uint64_t generation = 0;
+    FlowEntry* entry = nullptr;
+    bool hit = false;
+  };
+  [[nodiscard]] Probe probe(const FlowKeyView& key) {
+    // Each worker slot owns its cache outright (allocated on first use by
+    // the owning thread), so slot probes and fills are unsynchronized.
+    auto& cache = caches_[exec::current_worker_slot()];
+    if (cache == nullptr) allocate_cache(cache);
+    Probe found;
+    found.generation = epoch_->load(std::memory_order_acquire);
+    found.slot = &(*cache)[key.hash() & (kCacheSlots - 1)];
+    if (found.slot->generation == found.generation &&
+        found.slot->key == key) {
+      found.hit = true;
+      found.entry = found.slot->entry;
+    } else {
+      found.entry = classify(key);
+    }
+    return found;
+  }
+  FlowEntry* commit(const Probe& probe, const FlowKeyView& key,
+                    std::size_t packet_bytes, LookupTally& tally) {
+    if (!probe.hit) {
+      *probe.slot = CacheSlot{probe.generation, key, probe.entry, nullptr};
+    }
+    tally.count(probe.entry, probe.hit, packet_bytes);
+    return probe.entry;
+  }
+
+  /// CacheSlot::peer of a frame that crosses its link uncomposed.
+  static FlowEntry* const kNoPeer;
+
+  /// Moves this table onto `other`'s cache epoch and bumps it, so every
+  /// slot of both tables is invalid afterwards. Tables joined by a
+  /// virtual link share one epoch: a mutation of either invalidates the
+  /// composed slots of both.
+  void join_epoch(FlowTable& other);
+
+  /// Invalidates every cache slot of every table on this table's epoch.
+  void invalidate_cache();
 
   /// Adds `tally` to the table and entry counters and resets it.
   void publish(LookupTally& tally);
@@ -129,13 +216,9 @@ class FlowTable {
 
  private:
   static constexpr std::size_t kCacheSlots = 1024;  // power of two
+  using Cache = std::array<CacheSlot, kCacheSlots>;
 
-  struct CacheSlot {
-    std::uint64_t generation = 0;  ///< valid iff == generation_
-    FlowKeyView key;
-    FlowEntry* entry = nullptr;  ///< nullptr = cached miss
-  };
-
+  static void allocate_cache(std::unique_ptr<Cache>& cache);
   /// Invalidate derived state after any mutation.
   void touch();
   void ensure_classifier() const;
@@ -156,14 +239,15 @@ class FlowTable {
   mutable TupleSpaceClassifier classifier_;
   mutable std::atomic<bool> classifier_dirty_{false};
   mutable std::mutex classifier_mutex_;
-  /// Bumped on every mutation; invalidates every cache slot of every
-  /// worker at once.
-  std::atomic<std::uint64_t> generation_{1};
+  /// The cache epoch: bumped on every mutation, it invalidates every
+  /// cache slot of every worker at once. Shared by all tables joined by
+  /// virtual links (join_epoch); the pointer itself changes only while
+  /// the datapath is quiesced.
+  std::shared_ptr<std::atomic<std::uint64_t>> epoch_ =
+      std::make_shared<std::atomic<std::uint64_t>>(1);
   /// One direct-mapped microflow cache per worker slot (slot 0 = the
   /// control/inline thread), allocated lazily by its owning thread only.
-  mutable std::array<std::unique_ptr<std::array<CacheSlot, kCacheSlots>>,
-                     exec::kMaxSlots>
-      caches_;
+  mutable std::array<std::unique_ptr<Cache>, exec::kMaxSlots> caches_;
 
   FlowEntryId next_id_ = 1;
   mutable util::RelaxedCounter misses_;

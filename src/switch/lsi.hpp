@@ -4,10 +4,11 @@
 //
 // An LSI owns named ports; each port's peer is one burst callback (an NF
 // instance, a virtual link to another LSI, or a physical-port model).
-// Forwarding is
-// a flow-table lookup followed by action application. Table misses go to
-// the LSI's controller, mirroring the per-LSI OpenFlow controller of the
-// paper's Figure 1.
+// Forwarding is a flow-table lookup followed by action application. Table
+// misses go to the LSI's controller, mirroring the per-LSI OpenFlow
+// controller of the paper's Figure 1. A virtual link is a pair of linked
+// ports (Lsi::link): a frame that only crosses it is classified by both
+// LSIs with one microflow-cache probe.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,10 @@ class Lsi {
   using Peer = std::function<void(packet::PacketBurst&&)>;
 
   Lsi(LsiId id, std::string name);
+  /// Dissolves every link of this LSI (see link()).
+  ~Lsi();
+  Lsi(const Lsi&) = delete;
+  Lsi& operator=(const Lsi&) = delete;
 
   [[nodiscard]] LsiId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -70,6 +75,18 @@ class Lsi {
 
   /// Sets where frames transmitted out of `port` go.
   util::Status set_port_peer(PortId port, Peer peer);
+
+  /// Makes `port` and `peer_port` of `peer` the two ends of a virtual
+  /// link. Each end's peer is the other LSI's receive_burst, which stays
+  /// the uncomposed path. A frame whose entry's action list is exactly
+  /// output(link port) is classified on in the peer with the key already
+  /// decoded and leaves by the peer's transmit_burst: one cache probe
+  /// resolves both LSIs, and both publish the counters the two hops would
+  /// (docs/datapath.md §2). The tables of the two LSIs, and of every LSI
+  /// either is already linked to, share one cache epoch from now on.
+  /// Replacing the peer of a linked port, or removing it, dissolves the
+  /// link at both ends and leaves the other end without a peer.
+  util::Status link(PortId port, Lsi& peer, PortId peer_port);
 
   [[nodiscard]] bool has_port(PortId port) const;
   [[nodiscard]] util::Result<PortId> port_by_name(
@@ -103,11 +120,33 @@ class Lsi {
   [[nodiscard]] std::uint64_t processed_packets() const { return processed_; }
 
  private:
+  struct Port;
+  /// The other end of a linked port.
+  struct LinkEnd {
+    Lsi* lsi = nullptr;  ///< nullptr = the port is not linked
+    PortId port = kInvalidPort;
+    Port* state = nullptr;  ///< that port's entry in lsi->ports_
+  };
   struct Port {
     std::string name;
     Peer peer;
     PortStats stats;
+    LinkEnd link;
   };
+  struct Crossing;
+  struct Crossings;
+
+  /// Clears the link of `port` at both ends, if it has one.
+  void unlink(Port& port);
+  /// Whether any of `outputs` is a linked port.
+  [[nodiscard]] bool leaves_by_link(const std::vector<PortId>& outputs) const;
+  /// For a frame that hit `entry` through `slot`, whose peer is not
+  /// kNoPeer: the link it crosses composed, with the peer's lookup
+  /// counted, or nullptr when it takes `entry`'s own actions. Resolves
+  /// slot.peer on the slot's first crossing of the epoch.
+  Crossing* cross(const FlowEntry& entry, CacheSlot& slot,
+                  const FlowKeyView& key, std::size_t bytes,
+                  Crossings& crossings);
 
   LsiId id_;
   std::string name_;

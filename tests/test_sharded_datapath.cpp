@@ -410,6 +410,86 @@ TEST(ShardedDatapath, LsiClassifyFromFourWorkers) {
   EXPECT_EQ(lsi.port_stats(in)->rx_packets.load(), 16u * kReps);
 }
 
+TEST(ShardedDatapath, LinkedLsisClassifyFromFourWorkers) {
+  // LSI-0 sends everything across a virtual link into a graph LSI, which
+  // splits even and odd flows over two ports: every crossing composes, on
+  // four workers at once, each with its own composed slots. The counters
+  // of both hops must be exact after drain().
+  nfswitch::Lsi base(0, "LSI-0");
+  nfswitch::Lsi graph(1, "LSI-g");
+  const nfswitch::PortId in = base.add_port("in").value();
+  const nfswitch::PortId base_end = base.add_port("vl").value();
+  const nfswitch::PortId graph_end = graph.add_port("vl").value();
+  const nfswitch::PortId out_a = graph.add_port("a").value();
+  const nfswitch::PortId out_b = graph.add_port("b").value();
+  ASSERT_TRUE(base.link(base_end, graph, graph_end).is_ok());
+  const nfswitch::FlowEntryId to_graph = base.flow_table().add(
+      10, nfswitch::match_in_port(in),
+      {nfswitch::FlowAction::output(base_end)});
+  std::vector<nfswitch::FlowEntryId> graph_rules;
+  for (std::uint16_t port = 2000; port < 2016; ++port) {
+    nfswitch::FlowMatch match = nfswitch::match_in_port(graph_end);
+    match.tp_src = port;
+    graph_rules.push_back(graph.flow_table().add(
+        10, match,
+        {nfswitch::FlowAction::output(port % 2 == 0 ? out_a : out_b)}));
+  }
+  std::atomic<std::uint64_t> got_a{0}, got_b{0};
+  ASSERT_TRUE(graph.set_port_peer(out_a, [&](packet::PacketBurst&& b) {
+                got_a += b.size();
+              }).is_ok());
+  ASSERT_TRUE(graph.set_port_peer(out_b, [&](packet::PacketBurst&& b) {
+                got_b += b.size();
+              }).is_ok());
+
+  exec::DatapathExecutorConfig config;
+  config.workers = 4;
+  exec::DatapathExecutor executor(
+      config, [&](exec::WorkerContext&, std::uint32_t tag,
+                  packet::PacketBurst&& burst) {
+        base.receive_burst(static_cast<nfswitch::PortId>(tag),
+                           std::move(burst));
+      });
+  constexpr int kReps = 32;
+  std::uint64_t bytes = 0;
+  packet::PacketBurst burst;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::uint32_t flow = 0; flow < 16; ++flow) {
+      burst.push_back(make_udp(flow, static_cast<std::uint16_t>(2000 + flow)));
+      bytes += burst.back().size();
+    }
+  }
+  executor.submit_burst(in, std::move(burst));
+  executor.drain();
+  constexpr std::uint64_t kFrames = 16u * kReps;
+  EXPECT_EQ(got_a.load(), kFrames / 2);
+  EXPECT_EQ(got_b.load(), kFrames / 2);
+  EXPECT_EQ(base.processed_packets(), kFrames);
+  EXPECT_EQ(graph.processed_packets(), kFrames);
+  EXPECT_EQ(base.port_stats(base_end)->tx_packets.load(), kFrames);
+  EXPECT_EQ(base.port_stats(base_end)->tx_bytes.load(), bytes);
+  EXPECT_EQ(graph.port_stats(graph_end)->rx_packets.load(), kFrames);
+  EXPECT_EQ(graph.port_stats(graph_end)->rx_bytes.load(), bytes);
+  EXPECT_EQ(graph.port_stats(graph_end)->rx_bulk.load(), kFrames);
+  EXPECT_EQ(graph.port_stats(out_a)->tx_packets.load() +
+                graph.port_stats(out_b)->tx_packets.load(),
+            kFrames);
+  EXPECT_EQ(base.flow_table().find(to_graph)->stats.packets.load(), kFrames);
+  std::uint64_t graph_bytes = 0;
+  for (nfswitch::FlowEntryId id : graph_rules) {
+    EXPECT_EQ(graph.flow_table().find(id)->stats.packets.load(),
+              static_cast<std::uint64_t>(kReps));
+    graph_bytes += graph.flow_table().find(id)->stats.bytes.load();
+  }
+  EXPECT_EQ(graph_bytes, bytes);
+  for (const nfswitch::FlowTable* table :
+       {&base.flow_table(), &graph.flow_table()}) {
+    EXPECT_EQ(table->cache_lookups(), kFrames);
+    EXPECT_EQ(table->misses(), 0u);
+    EXPECT_GT(table->cache_hits(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Multi-worker IPsec: shared tunnel, unique sequence numbers
 // ---------------------------------------------------------------------------
