@@ -11,9 +11,10 @@
 // per frame through Lsi::receive_burst, and `lsi_link_hop_512_flows` a
 // frame's way from LSI-0 across a virtual link through a graph LSI to its
 // port; the `nat_hit_*` rows time a NAT
-// session hit per frame (decode, lookup, in-place rewrite) and the
-// `internet_checksum_*` rows the checksum kernel per call. Those rows
-// report ns_per_op only.
+// session hit per frame (decode, lookup, in-place rewrite),
+// `nat_new_session_64` a frame that opens a NAT session (with sweeps
+// expiring old ones) and the `internet_checksum_*` rows the checksum
+// kernel per call. Those rows report ns_per_op only.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -27,6 +28,8 @@
 #include "packet/checksum.hpp"
 #include "switch/flow_table.hpp"
 #include "switch/lsi.hpp"
+#include "util/byteorder.hpp"
+#include "virt/cost_model.hpp"
 
 namespace {
 
@@ -235,6 +238,51 @@ std::pair<double, std::uint64_t> measure_nat_hit(std::size_t frame_size) {
   return {ns / kHopBurst, iters};
 }
 
+/// NAT session setup: 32-frame bursts of 64 B UDP frames, LAN to WAN
+/// through Nat::process_burst, where every frame opens a new flow. Each
+/// burst's 42 header bytes are restored from a copy and its frames get
+/// fresh (source port, destination port) pairs; the restore is in the
+/// time. The simulated clock advances by the cost model's native NAT
+/// service time per frame and the idle timeout is 5 ms (nfbench's
+/// nat_churn_64), so sweeps run and keep about 5 ms of flows live.
+/// Returns {ns per frame, bursts timed}.
+std::pair<double, std::uint64_t> measure_nat_new_session() {
+  constexpr std::size_t kHeaders = 14 + 20 + 8;
+  nnf::Nat nat;
+  (void)nat.configure(nnf::kDefaultContext, {{"external_ip", "203.0.113.1"},
+                                             {"idle_timeout_ms", "5"}});
+  const sim::SimTime per_frame =
+      virt::CostModel(virt::BackendKind::kNative, virt::profile_nat())
+          .service_time(64);
+  const std::vector<std::uint8_t> payload(64 - kHeaders, 0x5A);
+  packet::UdpFrameSpec spec;
+  spec.ip_src = *packet::Ipv4Address::parse("192.168.1.10");
+  spec.ip_dst = *packet::Ipv4Address::parse("198.51.100.7");
+  spec.payload = payload;
+  const packet::PacketBuffer tmpl = packet::build_udp_frame(spec);
+  packet::PacketBurst burst;
+  for (int i = 0; i < kHopBurst; ++i) burst.push_back(tmpl.copy());
+  std::uint32_t next_flow = 0;
+  sim::SimTime now = 0;
+  auto translate = [&]() {
+    for (packet::PacketBuffer& frame : burst) {
+      std::uint8_t* bytes = frame.data().data();
+      std::copy_n(tmpl.data().begin(), kHeaders, bytes);
+      util::store_be16(bytes + 34, static_cast<std::uint16_t>(next_flow));
+      util::store_be16(bytes + 36,
+                       static_cast<std::uint16_t>(1 + (next_flow >> 16)));
+      ++next_flow;
+    }
+    now += per_frame * kHopBurst;
+    auto outs = nat.process_burst(nnf::kDefaultContext, 0, now,
+                                  std::move(burst));
+    burst.clear();
+    for (nnf::NfOutput& out : outs) burst.push_back(std::move(out.frame));
+  };
+  auto [ns, iters] = bench::measure_ns(translate);
+  return {ns / kHopBurst, iters};
+}
+
 struct Scenario {
   const char* name;
   std::uint16_t vlan;  ///< packet VLAN for this scenario
@@ -366,6 +414,11 @@ int main(int argc, char** argv) {
     const std::string name = "nat_hit_" + std::to_string(size);
     std::printf("%-28s %12s %12.1f\n", name.c_str(), "-", nat_ns);
     report.add(name, nat_iters, nat_ns);
+  }
+  {
+    auto [new_ns, new_iters] = measure_nat_new_session();
+    std::printf("%-28s %12s %12.1f\n", "nat_new_session_64", "-", new_ns);
+    report.add("nat_new_session_64", new_iters, new_ns);
   }
   for (std::size_t size : {20u, 72u, 1408u}) {
     std::vector<std::uint8_t> data(size);

@@ -29,8 +29,9 @@ inline std::uint64_t mix64(std::uint64_t x) {
 /// RSS hash of a raw frame, over its decoded flow key; undecodable frames
 /// all map to shard 0's hash. Symmetric inputs are NOT folded: the two
 /// directions of a flow may land on different workers, which is fine —
-/// each direction's state (NAT by_original vs by_external rows, inbound
-/// vs outbound SA) is keyed per direction.
+/// each direction's state is keyed per direction (a NAT session is found
+/// by its inside tuple outbound and by its external port inbound, and
+/// both share only its atomic last_seen; inbound vs outbound SA).
 inline std::uint64_t rss_hash_frame(std::span<const std::uint8_t> frame) {
   packet::FlowKey key;
   if (!packet::decode_flow_key(frame, key)) return 0;

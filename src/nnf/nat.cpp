@@ -95,7 +95,7 @@ void rewrite(packet::PacketBuffer& frame, const packet::Ipv4Tuple& d,
   packet::fix_l4_checksum(bytes, d.l3_off, ip);
 }
 
-/// The by_external key port: for ICMP echo replies the identifier is
+/// The external-index key port: for ICMP echo replies the identifier is
 /// carried in src_port by our extractor; the NAT allocated it as the
 /// "external port".
 std::uint16_t external_key_port(const packet::FiveTuple& tuple) {
@@ -103,7 +103,131 @@ std::uint16_t external_key_port(const packet::FiveTuple& tuple) {
                                                 : tuple.dst_port;
 }
 
+std::size_t original_hash(const packet::FiveTuple& tuple) {
+  return packet::FiveTupleHash{}(tuple);
+}
+
+std::size_t external_hash(std::uint8_t protocol, std::uint16_t port) {
+  const std::uint64_t key = (std::uint64_t{protocol} << 16) | port;
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32);
+}
+
+/// Index of a protocol's port pools in Nat::PortSlices.
+std::size_t port_protocol(std::uint8_t protocol) {
+  switch (protocol) {
+    case packet::kIpProtoTcp: return 0;
+    case packet::kIpProtoUdp: return 1;
+    case packet::kIpProtoIcmp: return 2;
+    default: return 3;
+  }
+}
+
+constexpr std::size_t kInitialIndexSize = 64;
+
 }  // namespace
+
+Nat::SessionTable::SessionTable()
+    : by_original_(kInitialIndexSize, kNone),
+      by_external_(kInitialIndexSize, kNone) {}
+
+std::uint32_t Nat::SessionTable::find_original(
+    const packet::FiveTuple& original) const {
+  const std::size_t mask = by_original_.size() - 1;
+  for (std::size_t i = original_hash(original) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t id = by_original_[i];
+    if (id == kNone || slots_[id].original == original) return id;
+  }
+}
+
+std::uint32_t Nat::SessionTable::find_external(std::uint8_t protocol,
+                                               std::uint16_t port) const {
+  const std::size_t mask = by_external_.size() - 1;
+  for (std::size_t i = external_hash(protocol, port) & mask;;
+       i = (i + 1) & mask) {
+    const std::uint32_t id = by_external_[i];
+    if (id == kNone || (slots_[id].external_port == port &&
+                        slots_[id].original.protocol == protocol)) {
+      return id;
+    }
+  }
+}
+
+std::uint32_t Nat::SessionTable::insert(const packet::FiveTuple& original,
+                                        std::uint16_t external_port,
+                                        sim::SimTime now) {
+  // Keep both indexes at most half full, so probe runs stay short and
+  // always end at an empty entry.
+  if ((live_ + 1) * 2 > by_original_.size()) grow();
+  std::uint32_t id;
+  if (free_.empty()) {
+    id = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    id = free_.back();
+    free_.pop_back();
+  }
+  Session& session = slots_[id];
+  session.original = original;
+  session.external_port = external_port;
+  session.last_seen = now;
+  link(by_original_, hash_original, id);
+  link(by_external_, hash_external, id);
+  ++live_;
+  return id;
+}
+
+void Nat::SessionTable::erase(std::uint32_t id) {
+  unlink(by_original_, hash_original, id);
+  unlink(by_external_, hash_external, id);
+  slots_[id].external_port = 0;
+  free_.push_back(id);
+  --live_;
+}
+
+std::size_t Nat::SessionTable::hash_original(const Session& session) {
+  return original_hash(session.original);
+}
+
+std::size_t Nat::SessionTable::hash_external(const Session& session) {
+  return external_hash(session.original.protocol, session.external_port);
+}
+
+void Nat::SessionTable::grow() {
+  const std::size_t size = by_original_.size() * 2;
+  by_original_.assign(size, kNone);
+  by_external_.assign(size, kNone);
+  for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].external_port == 0) continue;
+    link(by_original_, hash_original, id);
+    link(by_external_, hash_external, id);
+  }
+}
+
+void Nat::SessionTable::link(std::vector<std::uint32_t>& index,
+                             HashOf hash_of, std::uint32_t id) {
+  const std::size_t mask = index.size() - 1;
+  std::size_t i = hash_of(slots_[id]) & mask;
+  while (index[i] != kNone) i = (i + 1) & mask;
+  index[i] = id;
+}
+
+void Nat::SessionTable::unlink(std::vector<std::uint32_t>& index,
+                               HashOf hash_of, std::uint32_t id) {
+  const std::size_t mask = index.size() - 1;
+  std::size_t hole = hash_of(slots_[id]) & mask;
+  while (index[hole] != id) hole = (hole + 1) & mask;
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless that would move it before its home position.
+  for (std::size_t j = (hole + 1) & mask; index[j] != kNone;
+       j = (j + 1) & mask) {
+    const std::size_t home = hash_of(slots_[index[j]]) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      index[hole] = index[j];
+      hole = j;
+    }
+  }
+  index[hole] = kNone;
+}
 
 util::Status Nat::configure(ContextId ctx, const NfConfig& config) {
   NNFV_RETURN_IF_ERROR(require_context(ctx));
@@ -138,41 +262,40 @@ void Nat::set_worker_count(std::size_t workers) {
   // old slicing (release() depends on the slice boundaries).
   for (auto& [ctx, state] : state_) {
     std::unique_lock<std::shared_mutex> lock(state.mutex);
-    for (auto it = state.ports.begin(); it != state.ports.end();) {
-      const bool empty =
-          std::all_of(it->second.begin(), it->second.end(),
-                      [](const PortPool& pool) { return pool.used() == 0; });
-      it = empty ? state.ports.erase(it) : std::next(it);
+    for (std::vector<PortPool>& slices : state.ports) {
+      if (std::all_of(slices.begin(), slices.end(),
+                      [](const PortPool& pool) { return pool.used() == 0; })) {
+        slices.clear();
+      }
     }
   }
 }
 
 void Nat::sweep(ContextState& state, sim::SimTime now) {
-  for (auto it = state.by_original.begin(); it != state.by_original.end();) {
-    auto next = std::next(it);
-    if (session_stale(state, it->second, now)) evict(state, it);
-    it = next;
+  for (std::uint32_t id = 0; id < state.sessions.slot_count(); ++id) {
+    const Session& session = state.sessions[id];
+    if (session.external_port != 0 && session_stale(state, session, now)) {
+      evict(state, id);
+    }
   }
   state.last_sweep = now;
 }
 
-void Nat::evict(ContextState& state, SessionMap::iterator it) {
-  state.by_external.erase({it->first.protocol, it->second.external_port});
-  auto pools = state.ports.find(it->first.protocol);
-  if (pools != state.ports.end()) {
-    // release() is a no-op on every slice but the owning one.
-    for (PortPool& pool : pools->second) {
-      pool.release(it->second.external_port);
-    }
+void Nat::evict(ContextState& state, std::uint32_t id) {
+  const Session& session = state.sessions[id];
+  // release() is a no-op on every slice but the owning one.
+  for (PortPool& pool :
+       state.ports[port_protocol(session.original.protocol)]) {
+    pool.release(session.external_port);
   }
-  state.by_original.erase(it);
+  state.sessions.erase(id);
 }
 
 util::Result<std::uint16_t> Nat::allocate_port(ContextState& state,
                                                std::uint8_t protocol) {
   // O(1) bitmap allocation (see PortPool); the old code linearly probed up
   // to 64512 map entries when the pool ran hot.
-  std::vector<PortPool>& slices = state.ports[protocol];
+  std::vector<PortPool>& slices = state.ports[port_protocol(protocol)];
   if (slices.empty()) {
     // Slot 0 (control/inline thread) plus one slice per worker. With no
     // workers declared this is one slice spanning the whole range — the
@@ -205,29 +328,28 @@ Nat::Step Nat::translate_fast(ContextState& state, NfPortIndex in_port,
                               const packet::Ipv4Tuple& decoded) {
   if (sweep_due(state, now)) return Step::kSlowPath;
   const packet::FiveTuple& tuple = decoded.tuple;
+  std::uint32_t id;
   if (in_port == 0) {
-    auto it = state.by_original.find(tuple);
-    if (it == state.by_original.end() ||
-        session_stale(state, it->second, now)) {
-      return Step::kSlowPath;  // miss or stale hit
-    }
-    it->second.last_seen = now;
-    rewrite(frame, decoded, /*outbound=*/true,
-            state.external_ip, it->second.external_port);
-    return Step::kForward;
+    id = state.sessions.find_original(tuple);
+  } else {
+    if (!(tuple.dst_ip == state.external_ip)) return Step::kDrop;
+    id = state.sessions.find_external(tuple.protocol,
+                                      external_key_port(tuple));
+    if (id == SessionTable::kNone) return Step::kDrop;
   }
-  if (!(tuple.dst_ip == state.external_ip)) return Step::kDrop;
-  auto ext = state.by_external.find({tuple.protocol, external_key_port(tuple)});
-  if (ext == state.by_external.end()) return Step::kDrop;
-  auto session = state.by_original.find(ext->second);
-  if (session == state.by_original.end() ||
-      session_stale(state, session->second, now)) {
-    return Step::kSlowPath;  // evict it under the unique lock
+  if (id == SessionTable::kNone ||
+      session_stale(state, state.sessions[id], now)) {
+    return Step::kSlowPath;  // setup, or evict under the unique lock
   }
-  session->second.last_seen = now;
-  const packet::FiveTuple original = session->second.original;
-  rewrite(frame, decoded, /*outbound=*/false,
-          original.src_ip, original.src_port);
+  Session& session = state.sessions[id];
+  session.last_seen = now;
+  if (in_port == 0) {
+    rewrite(frame, decoded, /*outbound=*/true, state.external_ip,
+            session.external_port);
+  } else {
+    rewrite(frame, decoded, /*outbound=*/false, session.original.src_ip,
+            session.original.src_port);
+  }
   return Step::kForward;
 }
 
@@ -239,43 +361,38 @@ bool Nat::translate_slow(ContextState& state, NfPortIndex in_port,
 
   if (in_port == 0) {
     // Outbound: find or create a session.
-    auto it = state.by_original.find(tuple);
-    if (it != state.by_original.end() &&
-        session_stale(state, it->second, now)) {
-      evict(state, it);
-      it = state.by_original.end();
+    std::uint32_t id = state.sessions.find_original(tuple);
+    if (id != SessionTable::kNone &&
+        session_stale(state, state.sessions[id], now)) {
+      evict(state, id);
+      id = SessionTable::kNone;
     }
-    if (it == state.by_original.end()) {
+    if (id == SessionTable::kNone) {
       auto port = allocate_port(state, tuple.protocol);
       if (!port) return false;
-      Session session{tuple, port.value(), now};
-      it = state.by_original.emplace(tuple, session).first;
-      state.by_external[{tuple.protocol, port.value()}] = tuple;
+      id = state.sessions.insert(tuple, port.value(), now);
     }
-    it->second.last_seen = now;
-    rewrite(frame, decoded, /*outbound=*/true,
-            state.external_ip, it->second.external_port);
+    Session& session = state.sessions[id];
+    session.last_seen = now;
+    rewrite(frame, decoded, /*outbound=*/true, state.external_ip,
+            session.external_port);
     return true;
   }
 
   // Inbound: must match a tracked, fresh session and target the
   // external IP.
   if (!(tuple.dst_ip == state.external_ip)) return false;
-  auto ext = state.by_external.find({tuple.protocol, external_key_port(tuple)});
-  if (ext == state.by_external.end()) return false;
-  auto session = state.by_original.find(ext->second);
-  if (session == state.by_original.end()) {
-    state.by_external.erase(ext);
+  const std::uint32_t id =
+      state.sessions.find_external(tuple.protocol, external_key_port(tuple));
+  if (id == SessionTable::kNone) return false;
+  Session& session = state.sessions[id];
+  if (session_stale(state, session, now)) {
+    evict(state, id);
     return false;
   }
-  if (session_stale(state, session->second, now)) {
-    evict(state, session);
-    return false;
-  }
-  session->second.last_seen = now;
-  const packet::FiveTuple original = session->second.original;
-  rewrite(frame, decoded, /*outbound=*/false,
-          original.src_ip, original.src_port);
+  session.last_seen = now;
+  rewrite(frame, decoded, /*outbound=*/false, session.original.src_ip,
+          session.original.src_port);
   return true;
 }
 
@@ -350,7 +467,18 @@ std::size_t Nat::session_count(ContextId ctx) const {
   auto it = state_.find(ctx);
   if (it == state_.end()) return 0;
   std::shared_lock<std::shared_mutex> lock(it->second.mutex);
-  return it->second.by_original.size();
+  return it->second.sessions.size();
+}
+
+std::size_t Nat::ports_in_use(ContextId ctx) const {
+  auto it = state_.find(ctx);
+  if (it == state_.end()) return 0;
+  std::shared_lock<std::shared_mutex> lock(it->second.mutex);
+  std::size_t used = 0;
+  for (const std::vector<PortPool>& slices : it->second.ports) {
+    for (const PortPool& pool : slices) used += pool.used();
+  }
+  return used;
 }
 
 }  // namespace nnfv::nnf

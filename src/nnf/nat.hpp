@@ -9,11 +9,23 @@
 // identifier) and checksum bytes in place; IPv4 frames that fail to
 // decode are dropped, never forwarded untranslated (docs/datapath.md §2).
 //
+// Session table (one per context, modelled on ndn-dpdk's PCCT: entries
+// in a pool behind a hash table): a dense vector of Session slots with a
+// free list of slot ids, and two open-addressing indexes of slot ids —
+// one keyed by the original (inside) 5-tuple, one by (protocol, external
+// port). Each session lives in one slot that both indexes point to. The
+// indexes are power-of-two arrays with linear probing, start at 64
+// entries, double once half full and delete by backward shift (no
+// tombstones). A free slot has external_port 0 (allocated ports are
+// >= 1024). Once the table has grown to a context's live set, a new
+// session reuses a freed slot and allocates nothing.
+//
 // Threading (docs/datapath.md §6): each context carries a shared_mutex.
 // A burst takes it shared once; steady-state packets (session hit, not
-// stale, no sweep due) run under it and only touch atomics (last_seen).
-// Session creation, stale eviction and the periodic sweep take the
-// unique lock, one frame at a time and in frame order.
+// stale, no sweep due) probe the indexes and touch only atomics
+// (last_seen) under it. Session creation, stale eviction, index growth
+// and the periodic sweep over the slot array take the unique lock, one
+// frame at a time and in frame order; so do the port pools.
 // Port allocation draws from the calling worker's slice of the port
 // range (set_worker_count()), so concurrent flow setup on different
 // workers never fights over one allocation cursor.
@@ -22,7 +34,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/worker_slot.hpp"
@@ -93,40 +104,88 @@ class Nat : public NetworkFunction {
   void set_worker_count(std::size_t workers);
 
   [[nodiscard]] std::size_t session_count(ContextId ctx) const;
+  /// External ports held in the context's pools, all protocols; equals
+  /// session_count() whenever no frame is in flight.
+  [[nodiscard]] std::size_t ports_in_use(ContextId ctx) const;
   [[nodiscard]] const NfCounters& counters() const { return counters_; }
 
  private:
   struct Session {
     packet::FiveTuple original;      ///< inside view, outbound direction
-    std::uint16_t external_port = 0;
+    std::uint16_t external_port = 0;  ///< 0 = free slot
     /// Written under the shared lock by whichever worker carries the
     /// packet (outbound and inbound directions hash to different
     /// workers), hence atomic.
     util::Relaxed<sim::SimTime> last_seen{0};
   };
 
+  /// The flat session table of one context (see the file comment).
+  /// Lookups are safe under the shared lock; insert and erase need the
+  /// unique lock.
+  class SessionTable {
+   public:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    SessionTable();
+
+    /// Slot id of the session with this inside tuple, or kNone.
+    [[nodiscard]] std::uint32_t find_original(
+        const packet::FiveTuple& original) const;
+    /// Slot id of the session holding (protocol, port), or kNone.
+    [[nodiscard]] std::uint32_t find_external(std::uint8_t protocol,
+                                              std::uint16_t port) const;
+    /// Stores a new session (its tuple must not be in the table) and
+    /// returns its slot id.
+    std::uint32_t insert(const packet::FiveTuple& original,
+                         std::uint16_t external_port, sim::SimTime now);
+    /// Frees the slot and unlinks it from both indexes.
+    void erase(std::uint32_t id);
+
+    [[nodiscard]] Session& operator[](std::uint32_t id) { return slots_[id]; }
+    /// Slots ever used, live or free; ids run 0..slot_count() - 1.
+    [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+    [[nodiscard]] std::size_t size() const { return live_; }
+
+   private:
+    /// An index's hash of a session's key.
+    using HashOf = std::size_t (*)(const Session&);
+    static std::size_t hash_original(const Session& session);
+    static std::size_t hash_external(const Session& session);
+
+    void grow();
+    void link(std::vector<std::uint32_t>& index, HashOf hash_of,
+              std::uint32_t id);
+    /// Removes `id` by backward-shift deletion.
+    void unlink(std::vector<std::uint32_t>& index, HashOf hash_of,
+                std::uint32_t id);
+
+    std::vector<Session> slots_;
+    std::vector<std::uint32_t> free_;         ///< ids of free slots
+    std::vector<std::uint32_t> by_original_;  ///< slot ids, kNone = empty
+    std::vector<std::uint32_t> by_external_;  ///< same size as by_original_
+    std::size_t live_ = 0;
+  };
+
+  /// Port pools per protocol: TCP, UDP, ICMP, and one shared by every
+  /// other protocol (its sessions hold a port that no inbound frame can
+  /// name).
+  static constexpr std::size_t kPortProtocols = 4;
+  using PortSlices = std::array<std::vector<PortPool>, kPortProtocols>;
+
   struct ContextState {
     packet::Ipv4Address external_ip;
     bool external_ip_set = false;
     sim::SimTime idle_timeout = 30 * sim::kSecond;
-    /// Outbound lookup: original tuple -> session.
-    std::unordered_map<packet::FiveTuple, Session, packet::FiveTupleHash>
-        by_original;
-    /// Inbound lookup: (protocol, external port) -> original tuple.
-    std::map<std::pair<std::uint8_t, std::uint16_t>, packet::FiveTuple>
-        by_external;
+    SessionTable sessions;
     /// Per-worker-slot port slices per protocol, built lazily on first
     /// allocation (so they see the final worker count).
-    std::map<std::uint8_t, std::vector<PortPool>> ports;
+    PortSlices ports;
     /// Last time the full expiry sweep ran (sweeps are cadence-based
     /// now, not per-packet; staleness is also checked on every hit).
     sim::SimTime last_sweep = 0;
-    /// Guards the three tables above; see the file comment.
+    /// Guards the session table and the port pools; see the file comment.
     mutable util::SharedMutex mutex;
   };
-
-  using SessionMap =
-      std::unordered_map<packet::FiveTuple, Session, packet::FiveTupleHash>;
 
   [[nodiscard]] static bool session_stale(const ContextState& state,
                                           const Session& session,
@@ -150,10 +209,10 @@ class Nat : public NetworkFunction {
                       sim::SimTime now, packet::PacketBuffer& frame,
                       const packet::Ipv4Tuple& decoded);
 
-  /// Full-table sweep; requires the context's unique lock.
-  void sweep(ContextState& state, sim::SimTime now);
-  /// Removes one session (both maps + port); unique lock required.
-  void evict(ContextState& state, SessionMap::iterator it);
+  /// Sweep over every slot; requires the context's unique lock.
+  static void sweep(ContextState& state, sim::SimTime now);
+  /// Removes one session (slot, both indexes, port); unique lock required.
+  static void evict(ContextState& state, std::uint32_t id);
   util::Result<std::uint16_t> allocate_port(ContextState& state,
                                             std::uint8_t protocol);
 

@@ -7,6 +7,9 @@
 // MAC -> port, floods unknown destinations (packet-out on every other
 // port) and installs an exact-match rule once the destination is known,
 // so subsequent packets forward in the fast path without the controller.
+// It keeps the id of the rule it installed per destination, so a punt
+// that arrives while that rule is installed adds nothing, and a station
+// that moved gets its old rule replaced.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +41,18 @@ class LearningController : public FlowController {
   void reset(Lsi& lsi);
 
  private:
+  struct Installed {
+    FlowEntryId id = 0;
+    PortId port = 0;
+  };
+
+  /// Adds the eth_dst -> output(port) rule unless it is installed already.
+  void install(Lsi& lsi, const packet::MacAddress& dst, PortId port);
+
   Cookie cookie_;
   std::uint16_t priority_;
   std::map<packet::MacAddress, PortId> stations_;
+  std::map<packet::MacAddress, Installed> rules_;  ///< by eth_dst
   std::uint64_t packet_ins_ = 0;
   std::uint64_t rules_installed_ = 0;
   std::uint64_t floods_ = 0;

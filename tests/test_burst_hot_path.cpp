@@ -20,6 +20,7 @@
 #include "nffg/nffg.hpp"
 #include "nnf/firewall.hpp"
 #include "nnf/ipsec.hpp"
+#include "nnf/nat.hpp"
 #include "packet/builder.hpp"
 #include "switch/lsi.hpp"
 
@@ -301,6 +302,55 @@ TEST(BurstHotPath, IpsecAllocationsPerBurstAreConstant) {
   expect_constant_esp_allocations("gcm", false);
   expect_constant_esp_allocations("gcm", true);
   expect_constant_esp_allocations("cbc-hmac", false);
+}
+
+/// One 32-frame burst of outbound UDP frames, flows `first`..`first`+31.
+packet::PacketBurst nat_flows(std::uint32_t first) {
+  packet::PacketBurst burst;
+  for (std::uint32_t f = first; f < first + 32; ++f) {
+    burst.push_back(udp_frame("192.168.1." + std::to_string(10 + f / 30000),
+                              static_cast<std::uint16_t>(1024 + f % 30000),
+                              53, 18));
+  }
+  return burst;
+}
+
+TEST(BurstHotPath, NatSessionChurnAllocatesLikeHits) {
+  // Every round comes one idle timeout after the last, so its sweep
+  // expires the previous round's 32 sessions before 32 new flows open
+  // theirs. Once the table has grown to that live set, opening a session
+  // must cost no more allocations than hitting one.
+  nnf::Nat nat;
+  ASSERT_TRUE(nat.configure(nnf::kDefaultContext,
+                            {{"external_ip", "203.0.113.1"},
+                             {"idle_timeout_ms", "1"}})
+                  .is_ok());
+  sim::SimTime now = 0;
+  std::uint32_t next_flow = 0;
+  auto translate = [&](packet::PacketBurst&& burst) {
+    std::vector<nnf::NfOutput> outs;
+    const std::uint64_t allocations = allocations_during([&] {
+      outs = nat.process_burst(nnf::kDefaultContext, 0, now,
+                               std::move(burst));
+    });
+    EXPECT_EQ(outs.size(), 32u);
+    return allocations;
+  };
+  for (int warm = 0; warm < 4; ++warm) {
+    now += 2 * sim::kMillisecond;
+    translate(nat_flows(next_flow));
+    next_flow += 32;
+  }
+  std::uint64_t churn_allocs = ~0ULL;
+  std::uint64_t hit_allocs = ~0ULL;
+  for (int rep = 0; rep < 3; ++rep) {
+    now += 2 * sim::kMillisecond;
+    churn_allocs = std::min(churn_allocs, translate(nat_flows(next_flow)));
+    hit_allocs = std::min(hit_allocs, translate(nat_flows(next_flow)));
+    next_flow += 32;
+    EXPECT_EQ(nat.session_count(nnf::kDefaultContext), 32u);
+  }
+  EXPECT_EQ(churn_allocs, hit_allocs);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 // NAT NF tests: SNAT translation, conntrack, checksum validity, timeouts,
 // per-context isolation, unsolicited-inbound drops, the in-place rewrite
-// against a full recompute, and malformed-IPv4 drops.
+// against a full recompute, malformed-IPv4 drops, and the session table
+// against a two-map reference model.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exec/worker_slot.hpp"
 #include "nnf/nat.hpp"
 #include "packet/builder.hpp"
 #include "packet/checksum.hpp"
@@ -691,6 +696,314 @@ TEST(Nat, RuntPassesThrough) {
   ASSERT_EQ(outs.size(), 1u);
   EXPECT_EQ(outs[0].port, 1u);
   EXPECT_EQ(bytes_of(outs[0].frame), runt);
+}
+
+// ---------------------------------------------------------------------------
+// The session table against a reference model: the conntrack semantics as
+// two ordered maps (inside tuple -> session, (protocol, external port) ->
+// inside tuple) over per-protocol port-pool slices, fed the same random
+// bursts. Output bytes, drops, session count and pool usage must agree
+// after every burst.
+// ---------------------------------------------------------------------------
+
+class ReferenceNat {
+ public:
+  ReferenceNat(packet::Ipv4Address external, sim::SimTime idle_timeout,
+               std::size_t workers)
+      : external_(external), idle_timeout_(idle_timeout), workers_(workers) {}
+
+  /// The frame the NAT must emit for `in` arriving on `port` at `now`, or
+  /// nullopt when it must drop it.
+  std::optional<Bytes> process(NfPortIndex port, sim::SimTime now,
+                               const Bytes& in) {
+    auto eth = packet::parse_ethernet(in);
+    auto parsed =
+        packet::extract_five_tuple(std::span(in).subspan(eth->wire_size()));
+    EXPECT_TRUE(parsed.is_ok());
+    const packet::FiveTuple t = parsed.value();
+    if (now - last_sweep_ >= idle_timeout_) {
+      for (auto it = by_original_.begin(); it != by_original_.end();) {
+        auto next = std::next(it);
+        if (stale(it->second, now)) evict(it);
+        it = next;
+      }
+      last_sweep_ = now;
+    }
+    if (port == 0) {
+      auto it = by_original_.find(t);
+      if (it != by_original_.end() && stale(it->second, now)) {
+        evict(it);
+        it = by_original_.end();
+      }
+      if (it == by_original_.end()) {
+        const std::uint16_t external_port = allocate(t.protocol);
+        if (external_port == 0) return std::nullopt;
+        it = by_original_.emplace(t, Session{external_port, now}).first;
+        by_external_[{t.protocol, external_port}] = t;
+      }
+      it->second.last_seen = now;
+      return full_recompute(in, true, external_, it->second.port);
+    }
+    if (!(t.dst_ip == external_)) return std::nullopt;
+    const std::uint16_t key_port =
+        t.protocol == packet::kIpProtoIcmp ? t.src_port : t.dst_port;
+    auto ext = by_external_.find({t.protocol, key_port});
+    if (ext == by_external_.end()) return std::nullopt;
+    auto it = by_original_.find(ext->second);
+    if (stale(it->second, now)) {
+      evict(it);
+      return std::nullopt;
+    }
+    it->second.last_seen = now;
+    return full_recompute(in, false, it->first.src_ip, it->first.src_port);
+  }
+
+  [[nodiscard]] std::size_t session_count() const {
+    return by_original_.size();
+  }
+  [[nodiscard]] std::size_t ports_in_use() const {
+    std::size_t used = 0;
+    for (const auto& [protocol, slices] : ports_) {
+      for (const PortPool& pool : slices) used += pool.used();
+    }
+    return used;
+  }
+
+ private:
+  struct Session {
+    std::uint16_t port = 0;
+    sim::SimTime last_seen = 0;
+  };
+  using Sessions = std::map<packet::FiveTuple, Session>;
+
+  bool stale(const Session& session, sim::SimTime now) const {
+    return now - session.last_seen > idle_timeout_;
+  }
+
+  void evict(Sessions::iterator it) {
+    by_external_.erase({it->first.protocol, it->second.port});
+    for (PortPool& pool : ports_[it->first.protocol]) {
+      pool.release(it->second.port);
+    }
+    by_original_.erase(it);
+  }
+
+  /// The calling slot's slice first, then every slice in order; 0 when
+  /// the protocol's whole range is in use.
+  std::uint16_t allocate(std::uint8_t protocol) {
+    std::vector<PortPool>& slices = ports_[protocol];
+    if (slices.empty()) {
+      const std::size_t n = workers_ + 1;
+      const std::size_t per = PortPool::kPorts / n;
+      for (std::size_t i = 0; i < n; ++i) {
+        slices.emplace_back(
+            static_cast<std::uint16_t>(PortPool::kFirstPort + per * i),
+            i + 1 == n ? PortPool::kPorts - per * (n - 1) : per);
+      }
+    }
+    const std::size_t slot =
+        std::min(exec::current_worker_slot(), slices.size() - 1);
+    if (const std::uint16_t port = slices[slot].allocate(); port != 0) {
+      return port;
+    }
+    for (PortPool& pool : slices) {
+      if (const std::uint16_t port = pool.allocate(); port != 0) return port;
+    }
+    return 0;
+  }
+
+  packet::Ipv4Address external_;
+  sim::SimTime idle_timeout_;
+  std::size_t workers_;
+  Sessions by_original_;
+  std::map<std::pair<std::uint8_t, std::uint16_t>, packet::FiveTuple>
+      by_external_;
+  std::map<std::uint8_t, std::vector<PortPool>> ports_;
+  sim::SimTime last_sweep_ = 0;
+};
+
+/// A Nat and a ReferenceNat configured alike, fed the same bursts.
+class SessionTableDiff {
+ public:
+  SessionTableDiff(sim::SimTime idle_timeout, std::size_t workers)
+      : external_(*packet::Ipv4Address::parse(kExternalIp)),
+        ref_(external_, idle_timeout, workers) {
+    EXPECT_TRUE(nat_.configure(kDefaultContext,
+                               {{"external_ip", kExternalIp},
+                                {"idle_timeout_ms",
+                                 std::to_string(idle_timeout /
+                                                sim::kMillisecond)}})
+                    .is_ok());
+    nat_.set_worker_count(workers);
+  }
+
+  /// Sends `frames` as one burst on `port` at `now` through both NATs
+  /// and expects the same outputs in the same order, the same drops,
+  /// session count and pool usage. Returns the reference's output per
+  /// input frame (nullopt = dropped).
+  std::vector<std::optional<Bytes>> burst(NfPortIndex port, sim::SimTime now,
+                                          const std::vector<Bytes>& frames) {
+    std::vector<std::optional<Bytes>> want;
+    packet::PacketBurst in;
+    for (const Bytes& frame : frames) {
+      want.push_back(ref_.process(port, now, frame));
+      in.push_back(packet::PacketBuffer::copy_of(frame));
+    }
+    const std::uint64_t dropped = nat_.counters().dropped;
+    auto outs = nat_.process_burst(kDefaultContext, port, now, std::move(in));
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (!want[i]) continue;
+      if (next == outs.size()) {
+        ADD_FAILURE() << "frame " << i << " at t=" << now << " dropped";
+        return want;
+      }
+      EXPECT_EQ(outs[next].port, port == 0 ? 1u : 0u);
+      if (bytes_of(outs[next].frame) != *want[i]) {
+        ADD_FAILURE() << "frame " << i << " at t=" << now << " differs";
+        return want;
+      }
+      ++next;
+    }
+    EXPECT_EQ(next, outs.size()) << "extra output at t=" << now;
+    EXPECT_EQ(nat_.counters().dropped - dropped, frames.size() - next);
+    EXPECT_EQ(nat_.session_count(kDefaultContext), ref_.session_count());
+    EXPECT_EQ(nat_.ports_in_use(kDefaultContext), ref_.ports_in_use());
+    return want;
+  }
+
+  [[nodiscard]] std::size_t sessions() const {
+    return nat_.session_count(kDefaultContext);
+  }
+  [[nodiscard]] packet::Ipv4Address external() const { return external_; }
+
+ private:
+  packet::Ipv4Address external_;
+  Nat nat_;
+  ReferenceNat ref_;
+};
+
+TEST(Nat, SessionTableMatchesTwoMapModelUnderChurn) {
+  // More than 20 000 live sessions at the peak, so the indexes double
+  // from 64 entries nine times; sweeps then evict thousands at once out
+  // of long probe runs. One flow in two is new; the rest are outbound
+  // hits, replies (some stale, some to a port reallocated since),
+  // unsolicited inbound frames and frames to a foreign address.
+  constexpr sim::SimTime kIdle = 1000 * sim::kMillisecond;
+  constexpr int kBursts = 6000;
+  SessionTableDiff diff(kIdle, 0);
+  util::Rng rng(0x5E55);
+  const std::uint8_t protos[] = {packet::kIpProtoUdp, packet::kIpProtoTcp,
+                                 packet::kIpProtoIcmp};
+  std::vector<FlowSpec> flows;
+  std::vector<std::uint16_t> last_port;  ///< per flow, 0 = never out
+  const Bytes payload(6, 0x42);
+  auto pick_flow = [&]() -> std::size_t {
+    const std::size_t n = flows.size();
+    if (n > 512 && rng.chance(0.5)) return n - 1 - rng.uniform(0, 511);
+    return rng.uniform(0, n - 1);
+  };
+  sim::SimTime now = 0;
+  std::size_t peak = 0;
+  for (int b = 0; b < kBursts && !HasFailure(); ++b) {
+    // ~45 000 frames per idle timeout, so the live set tops 20 000; now
+    // and then a jump across the timeout.
+    now += static_cast<sim::SimTime>(rng.uniform(0, 2 * kIdle / 2800));
+    if (rng.uniform(0, 1500) == 0) {
+      now += static_cast<sim::SimTime>(rng.uniform(kIdle / 2, 2 * kIdle));
+    }
+    const NfPortIndex port = flows.size() < 64 || rng.chance(0.6) ? 0 : 1;
+    const std::size_t size = rng.uniform(1, 32);
+    std::vector<Bytes> frames;
+    std::vector<std::size_t> flow_of;  ///< outbound: which flow
+    for (std::size_t i = 0; i < size; ++i) {
+      if (port == 0) {
+        if (flows.empty() || rng.chance(0.75)) {
+          FlowSpec flow;
+          flow.proto = protos[rng.uniform(0, 2)];
+          flow.inside.value = 0xC0A80000u | static_cast<std::uint32_t>(
+                                                rng.uniform(0, 0xFFFF));
+          flow.inside_port = static_cast<std::uint16_t>(rng.next_u64());
+          flow.server.value = static_cast<std::uint32_t>(rng.next_u64());
+          flow.server_port = static_cast<std::uint16_t>(rng.next_u64());
+          flows.push_back(flow);
+          last_port.push_back(0);
+          flow_of.push_back(flows.size() - 1);
+        } else {
+          flow_of.push_back(pick_flow());
+        }
+        frames.push_back(
+            build_frame(flows[flow_of.back()], true, diff.external(), 0,
+                        payload));
+        continue;
+      }
+      const std::uint64_t kind = rng.uniform(0, 9);
+      const std::size_t f = pick_flow();
+      if (kind < 8 && last_port[f] != 0) {  // reply, maybe stale
+        frames.push_back(
+            build_frame(flows[f], false, diff.external(), last_port[f],
+                        payload));
+      } else {  // unsolicited, or to a foreign address
+        const auto to = kind == 9 ? *packet::Ipv4Address::parse("203.0.113.9")
+                                  : diff.external();
+        frames.push_back(build_frame(
+            flows[f], false, to,
+            static_cast<std::uint16_t>(rng.uniform(1024, 65535)), payload));
+      }
+    }
+    const auto outs = diff.burst(port, now, frames);
+    for (std::size_t i = 0; port == 0 && i < outs.size(); ++i) {
+      if (outs[i]) {
+        last_port[flow_of[i]] =
+            tuple_of(packet::PacketBuffer::copy_of(*outs[i])).src_port;
+      }
+    }
+    peak = std::max(peak, diff.sessions());
+  }
+  EXPECT_GT(peak, 20000u);
+}
+
+TEST(Nat, SessionTableMatchesTwoMapModelWhenPoolsRunDry) {
+  // 3 workers: 4 slices of 16 128 ports. Slot 2 drains its own slice,
+  // steals the others in order, then the UDP range runs out and new UDP
+  // flows drop while TCP flows and UDP replies still pass.
+  SessionTableDiff diff(30 * sim::kSecond, 3);
+  exec::ScopedWorkerSlot slot(2);
+  const Bytes payload(6, 0x42);
+  auto udp_flow = [](std::uint32_t i) {
+    FlowSpec flow;
+    flow.inside.value = 0xC0A80000u + (i >> 8);
+    flow.inside_port = static_cast<std::uint16_t>(1000 + (i & 0xFF));
+    flow.server = *packet::Ipv4Address::parse("198.51.100.7");
+    flow.server_port = 53;
+    return flow;
+  };
+  constexpr std::uint32_t kFlows = PortPool::kPorts + 40;
+  std::uint16_t first_port = 0;
+  for (std::uint32_t i = 0; i < kFlows && !HasFailure(); i += 32) {
+    std::vector<Bytes> out;
+    for (std::uint32_t j = i; j < std::min(i + 32, kFlows); ++j) {
+      out.push_back(build_frame(udp_flow(j), true, diff.external(), 0,
+                                payload));
+    }
+    if (i % 4096 == 0) {
+      FlowSpec tcp = udp_flow(i);
+      tcp.proto = packet::kIpProtoTcp;
+      out.push_back(build_frame(tcp, true, diff.external(), 0, payload));
+    }
+    const auto sent = diff.burst(0, sim::kMillisecond, out);
+    if (i == 0) {
+      first_port = tuple_of(packet::PacketBuffer::copy_of(*sent[0])).src_port;
+    }
+  }
+  EXPECT_EQ(first_port, PortPool::kFirstPort + 2 * (PortPool::kPorts / 4));
+  EXPECT_EQ(diff.sessions(), PortPool::kPorts + 16);  // UDP + 16 TCP
+  // A reply to the first flow still finds its session.
+  const auto reply = diff.burst(
+      1, 2 * sim::kMillisecond,
+      {build_frame(udp_flow(0), false, diff.external(), first_port,
+                   payload)});
+  EXPECT_TRUE(reply[0].has_value());
 }
 
 TEST(Nat, RejectsBadConfig) {

@@ -1,7 +1,8 @@
 // Sharded-datapath tests: the SPSC handoff ring, the RSS hash contract,
 // worker-slot identity, the DatapathExecutor run-to-completion loop, and
 // multi-worker runs of the stateful NFs (LSI classify, IPsec encap with a
-// shared tunnel, NAT port slices) plus the UniversalNode wiring.
+// shared tunnel, NAT port slices and session churn) plus the UniversalNode
+// wiring.
 //
 // These are the tests the TSan CI job pins (docs/datapath.md §6).
 #include <gtest/gtest.h>
@@ -658,6 +659,86 @@ TEST(ShardedDatapath, NatWorkersAllocateFromDisjointSlices) {
   // guarantee two workers never hand out the same port concurrently.
   EXPECT_EQ(nat.session_count(nnf::kDefaultContext), kFlows);
   EXPECT_EQ(external_ports.size(), kFlows);
+}
+
+TEST(ShardedDatapath, NatChurnFromFourWorkers) {
+  // Four workers share one NAT context with a 1 ms idle timeout. Each
+  // round (0.3 ms apart) 32 long-lived flows hit their sessions and 96
+  // short flows open sessions that are never used again, so every fourth
+  // round a sweep evicts hundreds of them while other workers
+  // wait on the context's lock or probe the indexes for hits. Every
+  // flow has its own server port, which the translation keeps, so an
+  // output names its flow.
+  nnf::Nat nat;
+  ASSERT_TRUE(nat.configure(nnf::kDefaultContext,
+                            {{"external_ip", "203.0.113.1"},
+                             {"idle_timeout_ms", "1"}})
+                  .is_ok());
+  nat.set_worker_count(4);
+  std::atomic<sim::SimTime> now{0};
+  std::mutex mu;
+  std::map<std::uint16_t, std::uint16_t> round_ports;  ///< flow -> port
+  std::size_t round_outputs = 0;
+  exec::DatapathExecutorConfig config;
+  config.workers = 4;
+  exec::DatapathExecutor executor(
+      config, [&](exec::WorkerContext&, std::uint32_t,
+                  packet::PacketBurst&& burst) {
+        auto outs = nat.process_burst(nnf::kDefaultContext, 0, now.load(),
+                                      std::move(burst));
+        std::lock_guard<std::mutex> lock(mu);
+        for (const auto& out : outs) {
+          auto eth = packet::parse_ethernet(out.frame.data());
+          auto tuple = packet::extract_five_tuple(
+              out.frame.data().subspan(eth->wire_size()));
+          round_ports[tuple->dst_port] = tuple->src_port;
+          ++round_outputs;
+        }
+      });
+  auto flow_frame = [](std::uint32_t flow) {
+    packet::UdpFrameSpec spec;
+    spec.ip_src = packet::Ipv4Address{0x0A010000u + flow};
+    spec.ip_dst = *packet::Ipv4Address::parse("192.0.2.1");
+    spec.src_port = static_cast<std::uint16_t>(5000 + flow % 7);
+    spec.dst_port = static_cast<std::uint16_t>(1 + flow);  // names the flow
+    static const std::vector<std::uint8_t> payload(18, 0x5A);
+    spec.payload = payload;
+    return packet::build_udp_frame(spec);
+  };
+  constexpr std::uint32_t kLong = 32;
+  constexpr std::uint32_t kShort = 96;
+  constexpr int kRounds = 40;
+  std::map<std::uint16_t, std::uint16_t> long_ports;
+  for (int round = 0; round < kRounds; ++round) {
+    now.store(round * 300 * sim::kMicrosecond);
+    packet::PacketBurst burst;
+    for (std::uint32_t i = 0; i < kShort; ++i) {
+      burst.push_back(flow_frame(kLong + kShort * round + i));
+      if (i % 3 == 0) burst.push_back(flow_frame(i / 3));  // a long flow
+    }
+    round_ports.clear();
+    round_outputs = 0;
+    executor.submit_burst(0, std::move(burst));
+    executor.drain();
+
+    // All of a round's sessions are live together: distinct flows hold
+    // distinct ports, and a long flow keeps its port across rounds.
+    ASSERT_EQ(round_outputs, kLong + kShort) << "round " << round;
+    ASSERT_EQ(round_ports.size(), kLong + kShort);
+    std::set<std::uint16_t> ports;
+    for (const auto& [flow, port] : round_ports) ports.insert(port);
+    EXPECT_EQ(ports.size(), round_ports.size()) << "round " << round;
+    for (std::uint16_t flow = 1; flow <= kLong; ++flow) {
+      auto [it, first] = long_ports.try_emplace(flow, round_ports[flow]);
+      EXPECT_EQ(it->second, round_ports[flow])
+          << "long flow " << flow << " round " << round;
+    }
+    EXPECT_EQ(nat.ports_in_use(nnf::kDefaultContext),
+              nat.session_count(nnf::kDefaultContext));
+  }
+  // A sweep runs every fourth round (1.2 ms) and keeps the four newest
+  // rounds of short flows; three more rounds came after the last one.
+  EXPECT_EQ(nat.session_count(nnf::kDefaultContext), kLong + 7 * kShort);
 }
 
 // ---------------------------------------------------------------------------

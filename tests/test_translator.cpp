@@ -255,6 +255,37 @@ TEST_F(LearningFixture, StationMovementRelearns) {
   EXPECT_EQ(controller_.known_stations(), 2u);  // A and C
 }
 
+TEST_F(LearningFixture, ExplicitPuntsDoNotDuplicateTheLearnedRule) {
+  // A higher-priority rule punts everything from p2 to the controller, so
+  // each of the 5 frames to the known station A is a packet-in. The
+  // learned A -> p1 rule is installed once, not once per frame.
+  lsi_.receive(p1_, frame_from_to(0xA, 0xF));  // learn A@p1 (flood)
+  nfswitch::FlowMatch from_p2;
+  from_p2.in_port = p2_;
+  lsi_.flow_table().add(20, from_p2,
+                        {nfswitch::FlowAction::to_controller()});
+  ASSERT_EQ(lsi_.flow_table().size(), 1u);
+  for (int i = 0; i < 5; ++i) lsi_.receive(p2_, frame_from_to(0xB, 0xA));
+  EXPECT_EQ(controller_.packet_ins(), 1u + 5u);
+  EXPECT_EQ(controller_.rules_installed(), 1u);
+  EXPECT_EQ(lsi_.flow_table().entries_by_cookie(0xC0DE).size(), 1u);
+  EXPECT_EQ(lsi_.flow_table().size(), 2u);
+  EXPECT_EQ(rx1_, 5);
+
+  // A moves to p3: the next punt replaces the old rule instead of adding
+  // a second one beside it.
+  lsi_.receive(p3_, frame_from_to(0xA, 0xF));
+  lsi_.receive(p2_, frame_from_to(0xB, 0xA));
+  EXPECT_EQ(controller_.rules_installed(), 2u);
+  const auto learned = lsi_.flow_table().entries_by_cookie(0xC0DE);
+  ASSERT_EQ(learned.size(), 1u);
+  EXPECT_EQ(lsi_.flow_table().find(learned[0])->actions,
+            (std::vector<nfswitch::FlowAction>{
+                nfswitch::FlowAction::output(p3_)}));
+  EXPECT_EQ(lsi_.flow_table().size(), 2u);
+  EXPECT_EQ(rx1_, 6);  // plus A's flood from p3, none of B's frames
+}
+
 TEST_F(LearningFixture, BroadcastAlwaysFloods) {
   packet::UdpFrameSpec spec;
   spec.eth_src = packet::MacAddress::from_id(0xA);
